@@ -118,7 +118,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if *cityGate != "" {
-			if err := gateClusterThroughput(*cityGate, rep, stdout); err != nil {
+			run := gateRun{UpdatesPerSec: rep.UpdatesPerSec, Quick: rep.Quick, Speedup: &rep.Speedup}
+			if err := gateThroughput(*cityGate, run, stdout); err != nil {
 				return fail(err)
 			}
 		}
@@ -134,7 +135,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if *cityGate != "" {
-			if err := gateCityThroughput(*cityGate, rep, stdout); err != nil {
+			run := gateRun{UpdatesPerSec: rep.UpdatesPerSec, Quick: rep.Quick}
+			if err := gateThroughput(*cityGate, run, stdout); err != nil {
 				return fail(err)
 			}
 		}
@@ -218,65 +220,62 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// gateClusterThroughput gates the cluster benchmark the same way the city
-// gate works: aggregate cluster updates/sec must stay within 75% of the
-// checked-in baseline, and partitioning must still be a win — a cluster
-// run slower than its own single-node phase means routing or handoff
-// overhead ate the parallelism.
-func gateClusterThroughput(baselinePath string, rep *experiments.ClusterReport, stdout io.Writer) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("gate: read baseline: %w", err)
-	}
-	var base experiments.ClusterReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("gate: parse baseline %s: %w", baselinePath, err)
-	}
-	if base.UpdatesPerSec <= 0 {
-		return fmt.Errorf("gate: baseline %s has no updates_per_sec", baselinePath)
-	}
-	if base.Quick != rep.Quick {
-		return fmt.Errorf("gate: baseline quick=%v but run quick=%v — modes are not comparable", base.Quick, rep.Quick)
-	}
-	const floor = 0.75
-	ratio := rep.UpdatesPerSec / base.UpdatesPerSec
-	fmt.Fprintf(stdout, "gate: cluster %.0f updates/s vs baseline %.0f (%.2fx, floor %.2fx); speedup over single node %.2fx\n",
-		rep.UpdatesPerSec, base.UpdatesPerSec, ratio, floor, rep.Speedup)
-	if ratio < floor {
-		return fmt.Errorf("gate: cluster throughput regressed to %.2fx of baseline (floor %.2fx)", ratio, floor)
-	}
-	if rep.Speedup < 1 {
-		return fmt.Errorf("gate: cluster is %.2fx of single-node throughput — partitioning no longer pays for itself", rep.Speedup)
-	}
-	return nil
+// gateRun is what the throughput gate reads from a fresh city or cluster
+// report.  Speedup, set for cluster runs only, is the cluster's aggregate
+// updates/sec over its own single-node phase.
+type gateRun struct {
+	UpdatesPerSec float64
+	Quick         bool
+	Speedup       *float64
 }
 
-// gateCityThroughput compares the fresh city report's sustained update
-// throughput against a checked-in baseline report and fails when it drops
-// below 75% of the baseline — a CI tripwire for regressions on the
-// continuous-query maintenance hot path.  A faster run quietly passes;
-// refresh the baseline when the ceiling moves up for real.
-func gateCityThroughput(baselinePath string, rep *experiments.CityReport, stdout io.Writer) error {
+// gateThroughputFloor is the fraction of the baseline's updates/sec a run
+// must sustain.
+const gateThroughputFloor = 0.75
+
+// gateThroughput compares a fresh run's sustained update throughput
+// against a checked-in baseline report (BENCH_city_baseline.json or
+// BENCH_cluster_baseline.json — both carry updates_per_sec and quick at
+// the top level) and fails when it drops below 75% of the baseline — a CI
+// tripwire for regressions on the continuous-query maintenance hot path.
+// A faster run quietly passes; refresh the baseline when the ceiling moves
+// up for real.  For a cluster run partitioning must also still be a win:
+// a cluster slower than its own single-node phase means routing or
+// handoff overhead ate the parallelism.
+func gateThroughput(baselinePath string, run gateRun, stdout io.Writer) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("gate: read baseline: %w", err)
 	}
-	var base experiments.CityReport
+	var base struct {
+		UpdatesPerSec float64 `json:"updates_per_sec"`
+		Quick         bool    `json:"quick"`
+	}
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("gate: parse baseline %s: %w", baselinePath, err)
 	}
 	if base.UpdatesPerSec <= 0 {
 		return fmt.Errorf("gate: baseline %s has no updates_per_sec", baselinePath)
 	}
-	if base.Quick != rep.Quick {
-		return fmt.Errorf("gate: baseline quick=%v but run quick=%v — modes are not comparable", base.Quick, rep.Quick)
+	if base.Quick != run.Quick {
+		return fmt.Errorf("gate: baseline quick=%v but run quick=%v — modes are not comparable", base.Quick, run.Quick)
 	}
-	const floor = 0.75
-	ratio := rep.UpdatesPerSec / base.UpdatesPerSec
-	fmt.Fprintf(stdout, "gate: %.0f updates/s vs baseline %.0f (%.2fx, floor %.2fx)\n",
-		rep.UpdatesPerSec, base.UpdatesPerSec, ratio, floor)
-	if ratio < floor {
-		return fmt.Errorf("gate: throughput regressed to %.2fx of baseline (floor %.2fx)", ratio, floor)
+	label := ""
+	if run.Speedup != nil {
+		label = "cluster "
+	}
+	ratio := run.UpdatesPerSec / base.UpdatesPerSec
+	fmt.Fprintf(stdout, "gate: %s%.0f updates/s vs baseline %.0f (%.2fx, floor %.2fx)",
+		label, run.UpdatesPerSec, base.UpdatesPerSec, ratio, gateThroughputFloor)
+	if run.Speedup != nil {
+		fmt.Fprintf(stdout, "; speedup over single node %.2fx", *run.Speedup)
+	}
+	fmt.Fprintln(stdout)
+	if ratio < gateThroughputFloor {
+		return fmt.Errorf("gate: %sthroughput regressed to %.2fx of baseline (floor %.2fx)", label, ratio, gateThroughputFloor)
+	}
+	if run.Speedup != nil && *run.Speedup < 1 {
+		return fmt.Errorf("gate: cluster is %.2fx of single-node throughput — partitioning no longer pays for itself", *run.Speedup)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,5 +72,60 @@ func TestRunErrors(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "no experiment matches") {
 		t.Fatalf("unexpected stderr: %s", stderr.String())
+	}
+}
+
+// TestGateThroughput runs both checked-in baselines through the one
+// throughput gate: a run at the baseline passes, a run below the 0.75
+// floor fails for each, as do a quick-mode mismatch, a baseline without
+// updates_per_sec, and a cluster run slower than its own single node.
+func TestGateThroughput(t *testing.T) {
+	baseline := func(path string) (float64, bool) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b struct {
+			UpdatesPerSec float64 `json:"updates_per_sec"`
+			Quick         bool    `json:"quick"`
+		}
+		if err := json.Unmarshal(data, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.UpdatesPerSec, b.Quick
+	}
+	const city, cluster = "../../BENCH_city_baseline.json", "../../BENCH_cluster_baseline.json"
+	cityUPS, cityQuick := baseline(city)
+	clusterUPS, clusterQuick := baseline(cluster)
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, []byte(`{"quick":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	speedup := func(x float64) *float64 { return &x }
+
+	cases := []struct {
+		name, base string
+		run        gateRun
+		wantErr    string // "" = the gate passes
+	}{
+		{"city at baseline", city, gateRun{UpdatesPerSec: cityUPS, Quick: cityQuick}, ""},
+		{"city just above floor", city, gateRun{UpdatesPerSec: cityUPS * 0.76, Quick: cityQuick}, ""},
+		{"city below floor", city, gateRun{UpdatesPerSec: cityUPS * 0.7, Quick: cityQuick}, "throughput regressed"},
+		{"city quick mismatch", city, gateRun{UpdatesPerSec: cityUPS, Quick: !cityQuick}, "not comparable"},
+		{"cluster at baseline", cluster, gateRun{UpdatesPerSec: clusterUPS, Quick: clusterQuick, Speedup: speedup(1.2)}, ""},
+		{"cluster below floor", cluster, gateRun{UpdatesPerSec: clusterUPS * 0.7, Quick: clusterQuick, Speedup: speedup(1.2)}, "cluster throughput regressed"},
+		{"cluster slower than single node", cluster, gateRun{UpdatesPerSec: clusterUPS, Quick: clusterQuick, Speedup: speedup(0.9)}, "no longer pays for itself"},
+		{"baseline without updates_per_sec", empty, gateRun{UpdatesPerSec: 100, Quick: true}, "has no updates_per_sec"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := gateThroughput(tc.base, tc.run, io.Discard)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("gate failed: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("gate error %v, want one containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@
 //
 //	mostql [-n 100] [-seed 1] [-horizon 500]
 //	mostql -connect host:7654        # drive a remote mostserver instead
-//	mostql -connect host:7654 -proto 1   # force the v1 JSON wire encoding
 //
 // Commands:
 //
@@ -46,11 +45,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	horizon := flag.Int64("horizon", 500, "query expiry horizon (ticks)")
 	connect := flag.String("connect", "", "address of a mostserver to drive instead of an in-process database")
-	proto := flag.Int("proto", 0, "with -connect: highest wire protocol version to offer (1 = JSON only, 0 = newest)")
 	flag.Parse()
 
 	if *connect != "" {
-		runRemote(*connect, *horizon, *proto)
+		runRemote(*connect, *horizon)
 		return
 	}
 

@@ -27,14 +27,9 @@ type remoteShell struct {
 	nextCQ  int
 }
 
-// runRemote is the -connect entry point: a REPL against addr.  proto caps
-// the offered wire protocol version; 0 offers the newest implemented.
-func runRemote(addr string, horizon int64, proto int) {
-	var opts []mostdb.ClientOption
-	if proto > 0 {
-		opts = append(opts, mostdb.WithProtocol(proto))
-	}
-	c, err := mostdb.Dial(addr, opts...)
+// runRemote is the -connect entry point: a REPL against addr.
+func runRemote(addr string, horizon int64) {
+	c, err := mostdb.Dial(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mostql: connect:", err)
 		os.Exit(1)
@@ -53,8 +48,8 @@ func runRemote(addr string, horizon int64, proto int) {
 		os.Exit(1)
 	}
 	sh.now = now
-	fmt.Printf("mostql: connected to %s (protocol v%d); server clock at %d; horizon %d\n",
-		addr, c.Protocol(), now, horizon)
+	fmt.Printf("mostql: connected to %s; server clock at %d; horizon %d\n",
+		addr, now, horizon)
 	fmt.Println(`type ".help" for commands`)
 
 	sc := bufio.NewScanner(os.Stdin)

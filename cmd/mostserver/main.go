@@ -8,7 +8,7 @@
 // Usage:
 //
 //	mostserver [-addr :7654] [-n 100] [-seed 1] [-horizon 500] [-http :6060]
-//	           [-proto 2] [-wal DIR] [-checkpoint-every 256] [-max-inflight 0]
+//	           [-wal DIR] [-checkpoint-every 256] [-max-inflight 0]
 //	           [-zone x0,y0,x1,y1] [-peers addr=x0,y0,x1,y1;...]
 //	           [-advertise host:port] [-replicated Class,...]
 //
@@ -23,10 +23,9 @@
 // of partitioned.  Combine with -wal for a crash-safe node: a recovered
 // shard keeps its objects and quarantines any that were mid-handoff.
 //
-// -proto caps the wire protocol version the server offers during the Hello
-// handshake (PROTOCOL.md): 1 forces JSON payloads for every session, the
-// default offers the newest implemented version (currently 2, binary) and
-// lets each client negotiate down.
+// Every session speaks wire protocol version 2, the binary encoding
+// (PROTOCOL.md); a client whose Hello offers only version 1 is refused
+// with the typed error unsupported_version.
 //
 // With -wal set the server is durable: every committed mutation is
 // write-ahead logged under DIR before its response is sent, and on startup
@@ -68,7 +67,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	horizon := flag.Int64("horizon", 500, "default query horizon (ticks)")
 	httpAddr := flag.String("http", "", "serve /obs, /debug/pprof, /healthz, /readyz on this address (e.g. :6060)")
-	proto := flag.Int("proto", 0, "highest wire protocol version to offer (1 = JSON only, 0 = newest)")
 	walDir := flag.String("wal", "", "durable mode: write-ahead log and checkpoints under this directory")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "checkpoint after every N mutating requests (0 = only on clean shutdown; needs -wal)")
 	maxInflight := flag.Int("max-inflight", 0, "shed requests beyond this concurrency (0 = unbounded)")
@@ -169,7 +167,6 @@ func main() {
 		},
 		Reg:             reg,
 		Name:            "mostserver",
-		MaxProtocol:     *proto,
 		Health:          health,
 		MaxInflight:     *maxInflight,
 		CheckpointEvery: *checkpointEvery,

@@ -14,16 +14,12 @@
 // a real socket.  Server-reported errors (OpError) are not retried: the
 // request was received and refused.
 //
-// # Protocol versions
+// # Protocol version
 //
-// The client speaks protocol version 1 (JSON payloads) and version 2 (the
-// compact binary codec, see PROTOCOL.md).  Each connection's Hello
-// handshake — always spoken at version 1 — advertises the client's
-// maximum (WithProtocol, default wire.MaxProtocolVersion) and adopts the
-// server's negotiated answer, so a v2 client downgrades gracefully
-// against a v1-only server and a v1 client is unaffected by a v2 server.
-// Negotiation is per-connection: a reconnect renegotiates, and requests
-// are encoded per attempt at that connection's version.
+// Each connection opens with the Hello handshake, spoken in version-1
+// (JSON) frames so any server can read it; the client offers and requires
+// version 2, the compact binary codec (see PROTOCOL.md), for every frame
+// after it.  A server answering with any other version is refused.
 //
 // # Self-healing
 //
@@ -126,12 +122,6 @@ func WithDialer(dial func(addr string) (net.Conn, error)) Option {
 	return func(c *Client) { c.dial = dial }
 }
 
-// WithProtocol caps the protocol version the client offers in the Hello
-// handshake (default wire.MaxProtocolVersion).  The negotiated version is
-// min(v, server max); 1 forces JSON payloads.  Values outside
-// [1, wire.MaxProtocolVersion] are clamped.
-func WithProtocol(v int) Option { return func(c *Client) { c.wantProto = v } }
-
 // WithBackoff sets the retry/reconnect backoff schedule: delays double
 // from base and are capped at max (defaults 50ms and 2s), with ±25%
 // jitter applied so a fleet of clients does not reconnect in lockstep.
@@ -188,7 +178,6 @@ type Client struct {
 	jitterSeed   int64
 	jitterSeeded bool
 	maxPayload   int
-	wantProto    int // highest protocol version offered in Hello
 	peer         bool
 	resolve      func(prev string) (string, error)
 	reg          *obs.Registry
@@ -203,7 +192,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	proto   uint8  // negotiated protocol version of the current connection
 	gen     uint64 // connection generation, to ignore stale readLoop failures
 	epoch   uint64 // session epoch, incremented per connection attempt
 	nextID  uint64
@@ -228,7 +216,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		backoff:     50 * time.Millisecond,
 		maxBackoff:  2 * time.Second,
 		maxPayload:  wire.DefaultMaxPayload,
-		wantProto:   wire.MaxProtocolVersion,
 		pending:     map[uint64]chan wire.Frame{},
 		subs:        map[uint64]*Subscription{},
 		parked:      map[uint64]*Subscription{},
@@ -236,9 +223,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.wantProto < wire.ProtocolV1 || c.wantProto > wire.MaxProtocolVersion {
-		c.wantProto = wire.MaxProtocolVersion
 	}
 	if c.maxBackoff < c.backoff {
 		c.maxBackoff = c.backoff
@@ -293,10 +277,9 @@ func (c *Client) connectLocked() error {
 	// any lingering predecessor session of this client, and rejects this
 	// Hello (CodeStaleEpoch) if an even newer session has taken over.
 	c.epoch++
-	// Hello is always version 1, whatever we hope to negotiate: a v1-only
-	// server must be able to read it (and will ignore the max_version
-	// field, answering Version 1 — the graceful downgrade).
-	f, err := wire.Encode(wire.OpHello, id, wire.HelloReq{ClientID: c.id, MaxVersion: c.wantProto, Epoch: c.epoch, Peer: c.peer})
+	// Hello is always version 1, so even a v1-only server can read it and
+	// answer; everything after it is version 2.
+	f, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpHello, id, &wire.HelloReq{ClientID: c.id, MaxVersion: wire.ProtocolV2, Epoch: c.epoch, Peer: c.peer})
 	if err != nil {
 		conn.Close()
 		return err
@@ -324,22 +307,17 @@ func (c *Client) connectLocked() error {
 		conn.Close()
 		return err
 	}
-	if hello.Version == 0 {
-		// Pre-negotiation servers omit the field; they speak version 1.
-		hello.Version = wire.ProtocolV1
-	}
-	if hello.Version < wire.ProtocolV1 || hello.Version > c.wantProto {
+	if hello.Version != wire.ProtocolV2 {
 		conn.Close()
-		return fmt.Errorf("client: server negotiated protocol %d, offered at most %d", hello.Version, c.wantProto)
+		return fmt.Errorf("client: server speaks protocol %d, this client requires %d", hello.Version, wire.ProtocolV2)
 	}
 	if c.gen > 0 {
 		c.reconnects.Inc()
 	}
 	c.conn = conn
-	c.proto = uint8(hello.Version)
 	c.resumed = hello.Resumed
 	c.gen++
-	go c.readLoop(conn, c.gen, c.proto)
+	go c.readLoop(conn, c.gen)
 	return nil
 }
 
@@ -409,12 +387,11 @@ func (c *Client) writeFrame(conn net.Conn, f wire.Frame) error {
 }
 
 // readLoop demultiplexes inbound frames for one connection generation.
-// The decoder is pinned to the connection's negotiated protocol version:
-// a frame at any other version is a protocol violation that tears the
-// connection down.
-func (c *Client) readLoop(conn net.Conn, gen uint64, proto uint8) {
+// The decoder is pinned to version 2: a frame at any other version is a
+// protocol violation that tears the connection down.
+func (c *Client) readLoop(conn net.Conn, gen uint64) {
 	dec := wire.NewDecoder(conn, c.maxPayload)
-	dec.SetVersion(proto)
+	dec.SetVersion(wire.ProtocolV2)
 	for {
 		f, err := dec.Next()
 		if err != nil {
@@ -617,8 +594,7 @@ func (c *Client) resubscribe(sub *Subscription) bool {
 
 // call executes one request, retransmitting on transport errors under the
 // same request ID so the server's idempotence cache can suppress double
-// application.  Payloads are encoded per attempt: a retry may land on a
-// fresh connection with a different negotiated protocol version.
+// application.
 func (c *Client) call(op wire.Opcode, payload, out any) error {
 	c.mu.Lock()
 	if c.closed {
@@ -661,8 +637,8 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 	return fmt.Errorf("client: %s failed after %d attempts: %w", op, c.retries+1, lastErr)
 }
 
-// roundTrip encodes one request at the current connection's negotiated
-// protocol version (dialing if needed) and waits for its response.
+// roundTrip encodes one request (dialing if needed) and waits for its
+// response.
 func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any) (wire.Frame, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -675,12 +651,12 @@ func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any) (wire.Frame, 
 			return wire.Frame{}, err
 		}
 	}
-	conn, proto := c.conn, c.proto
+	conn := c.conn
 	ch := make(chan wire.Frame, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req, err := wire.EncodeFrame(proto, op, id, payload)
+	req, err := wire.EncodeFrame(wire.ProtocolV2, op, id, payload)
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -729,17 +705,6 @@ func (c *Client) Close() error {
 
 // Ping round-trips an empty frame.
 func (c *Client) Ping() error { return c.call(wire.OpPing, nil, nil) }
-
-// Protocol reports the negotiated protocol version of the current
-// connection (0 when disconnected).
-func (c *Client) Protocol() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return 0
-	}
-	return int(c.proto)
-}
 
 // Query evaluates src as an instantaneous query; horizon <= 0 uses the
 // server default.  It returns the server's evaluation tick and the

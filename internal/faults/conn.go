@@ -68,6 +68,14 @@ func (c *FaultyConn) Read(p []byte) (int, error) {
 		time.Sleep(c.script.ReadDelay)
 	}
 	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	if c.killed {
+		// Killed while this read was in flight (a write crossed its
+		// threshold): whatever arrived is lost with the connection.
+		c.mu.Unlock()
+		return 0, net.ErrClosed
+	}
+	c.mu.Unlock()
 	if n > 0 {
 		c.mu.Lock()
 		c.read += int64(n)
@@ -93,19 +101,22 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 	if c.script.WriteDelay > 0 {
 		time.Sleep(c.script.WriteDelay)
 	}
+	// The kill is decided before the bytes go out, so no response to them
+	// can be read through the wrapper: on loopback the peer may answer
+	// before Close runs, and a concurrent Read would otherwise deliver it.
+	c.mu.Lock()
+	kill := c.script.CloseAfterWrites > 0 && c.written+int64(len(p)) >= c.script.CloseAfterWrites && !c.killed
+	if kill {
+		c.killed = true
+		c.Kills++
+	}
+	c.mu.Unlock()
 	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.mu.Lock()
-		c.written += int64(n)
-		kill := c.script.CloseAfterWrites > 0 && c.written >= c.script.CloseAfterWrites && !c.killed
-		if kill {
-			c.killed = true
-			c.Kills++
-		}
-		c.mu.Unlock()
-		if kill {
-			c.Conn.Close()
-		}
+	c.mu.Lock()
+	c.written += int64(n)
+	c.mu.Unlock()
+	if kill {
+		c.Conn.Close()
 	}
 	return n, err
 }

@@ -7,8 +7,8 @@ package query_test
 // the test demands bit-identical answers from both sides:
 //
 //   - instantaneous queries through client.Query against the in-process
-//     engine's rows (float64 values survive the JSON wire encoding exactly;
-//     the comparison keys use shortest-round-trip formatting);
+//     engine's rows (float64 values survive the binary wire encoding bit
+//     for bit; the comparison keys use shortest-round-trip formatting);
 //   - the streamed continuous query's pushed Answer(CQ) against the
 //     in-process Continuous relation, including the notification stream:
 //     after each relevant update the subscription must converge to the
@@ -61,19 +61,17 @@ func TestLoopbackOracle(t *testing.T) {
 		seeds = []int64{1}
 		ticks = 30
 	}
-	// The oracle runs at both protocol versions: the v2 binary codec must
-	// stay bit-identical to in-process evaluation exactly like v1 JSON.
-	for _, proto := range []int{1, 2} {
-		for _, seed := range seeds {
-			proto, seed := proto, seed
-			t.Run(fmt.Sprintf("proto=%d/seed=%d", proto, seed), func(t *testing.T) {
-				runLoopbackOracle(t, proto, seed, ticks)
-			})
-		}
+	// Subtests keep the protocol version in their names: the binary
+	// codec must stay bit-identical to in-process evaluation.
+	for _, seed := range seeds {
+		seed := seed
+		t.Run(fmt.Sprintf("proto=2/seed=%d", seed), func(t *testing.T) {
+			runLoopbackOracle(t, seed, ticks)
+		})
 	}
 }
 
-func runLoopbackOracle(t *testing.T, proto int, seed int64, ticks temporal.Tick) {
+func runLoopbackOracle(t *testing.T, seed int64, ticks temporal.Tick) {
 	const (
 		nVehicles = 6
 		horizon   = temporal.Tick(50)
@@ -101,14 +99,11 @@ func runLoopbackOracle(t *testing.T, proto int, seed int64, ticks temporal.Tick)
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := client.Dial(srv.Addr().String(), client.WithProtocol(proto))
+	c, err := client.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Protocol(); got != proto {
-		t.Fatalf("negotiated protocol %d, want %d", got, proto)
-	}
 
 	localEng := query.NewEngine(localDB)
 	const cqSrc = `RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`

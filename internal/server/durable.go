@@ -31,8 +31,8 @@ import (
 //     mutating request produces, revealing on replay how far a request that
 //     crashed mid-flight got; and
 //   - one "note" WAL record per completed mutating request — a receipt
-//     carrying the client, request id, and the version-1 encoding of the
-//     response — appended after the request's own records.
+//     carrying the client, request id, and the response payload exactly as
+//     sent (version 2) — appended after the request's own records.
 //
 // Because a request's records are appended in order by one goroutine and
 // torn tails truncate from the end, a partial request's records are always
@@ -61,14 +61,28 @@ const (
 )
 
 // receiptRec is one completed mutating request: the WAL note payload and
-// the sidecar entry are the same shape.  Frame is the version-1 encoding of
-// the response payload; Op is its frame opcode (OpResult or OpError).
+// the sidecar entry are the same shape.  Frame is the response payload as
+// sent to the client, in the protocol version Format names; Op is its
+// frame opcode (OpResult or OpError).  Format is always wire.ProtocolV2:
+// receipts written before version 2 became the only payload encoding carry
+// no Format and hold version-1 JSON, which recovery refuses
+// (ErrLegacyReceipts).
 type receiptRec struct {
 	Client string `json:"c"`
 	Req    uint64 `json:"r"`
 	Op     uint8  `json:"op"`
+	Format uint8  `json:"v"`
 	Frame  []byte `json:"f,omitempty"`
 }
+
+// ErrLegacyReceipts fails recovery of a data directory whose receipts (WAL
+// notes or the dedup.json sidecar) hold version-1 JSON responses, written
+// by a server from before version 2 became the only payload encoding.
+// Replaying those bytes would hand a retrying client a frame it cannot
+// decode.  The one-time migration (PROTOCOL.md §5.1): drain the old server
+// cleanly, so its final checkpoint leaves an empty WAL, then remove
+// dedup.json.
+var ErrLegacyReceipts = errors.New("server: data directory holds version-1 receipts; drain the old server cleanly and remove " + dedupFile)
 
 // partialRec is one request known to have applied operations 0..MaxOp but
 // never completed — its retry rolls forward from MaxOp+1.
@@ -142,6 +156,11 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 		if err := json.Unmarshal(data, &side); err != nil {
 			return nil, nil, fmt.Errorf("server: dedup sidecar: %w", err)
 		}
+		for _, rec := range side.Receipts {
+			if rec.Format != wire.ProtocolV2 {
+				return nil, nil, fmt.Errorf("%w (%s)", ErrLegacyReceipts, dedupPath)
+			}
+		}
 	} else if !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("server: read dedup sidecar: %w", err)
 	}
@@ -178,6 +197,7 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 	}
 
 	info := &RecoveryInfo{}
+	legacy := false
 	var db *most.Database
 	if len(snap) == 0 && len(walData) == 0 {
 		info.Fresh = true
@@ -193,9 +213,14 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 					return
 				}
 				var rec receiptRec
-				if json.Unmarshal(data, &rec) == nil && rec.Client != "" {
-					addReceipt(rec)
+				if json.Unmarshal(data, &rec) != nil || rec.Client == "" {
+					return
 				}
+				if rec.Format != wire.ProtocolV2 {
+					legacy = true
+					return
+				}
+				addReceipt(rec)
 			},
 			Applied: func(p most.Prov, _ temporal.Tick) {
 				if p.Client == "" {
@@ -218,6 +243,9 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 		db, rep, err = most.RecoverObserved(snap, walData, ob)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: recover: %w", err)
+		}
+		if legacy {
+			return nil, nil, fmt.Errorf("%w (%s)", ErrLegacyReceipts, walPath)
 		}
 		info.Report = rep
 	}
@@ -267,7 +295,7 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 		if !replay {
 			e.finish(wire.Frame{
 				Op: wire.Opcode(rec.Op), ID: rec.Req,
-				Version: wire.ProtocolV1, Payload: rec.Frame,
+				Version: wire.ProtocolV2, Payload: rec.Frame,
 			})
 		}
 	}
@@ -287,14 +315,14 @@ func NewDurable(dir string, cfg Config, seed func() *most.Database) (*Server, *R
 // noteTagReceipt tags completed-request receipt notes in the WAL.
 const noteTagReceipt = "req"
 
-// logReceipt appends a completed request's receipt note; f must be the
-// version-1 response frame.  Called with commitMu held (shared or
+// logReceipt appends a completed request's receipt note holding the
+// response frame f as sent.  Called with commitMu held (shared or
 // exclusive), after the request's own records.
 func (srv *Server) logReceipt(client string, req uint64, f wire.Frame) {
 	if client == "" || srv.wal == nil {
 		return
 	}
-	data, err := json.Marshal(receiptRec{Client: client, Req: req, Op: uint8(f.Op), Frame: f.Payload})
+	data, err := json.Marshal(receiptRec{Client: client, Req: req, Op: uint8(f.Op), Format: wire.ProtocolV2, Frame: f.Payload})
 	if err != nil {
 		return
 	}
@@ -398,7 +426,7 @@ func (srv *Server) collectSidecar() *dedupSidecar {
 				continue
 			}
 			side.Receipts = append(side.Receipts, receiptRec{
-				Client: c, Req: id, Op: uint8(e.frame.Op), Frame: e.frame.Payload,
+				Client: c, Req: id, Op: uint8(e.frame.Op), Format: wire.ProtocolV2, Frame: e.frame.Payload,
 			})
 		}
 		cache.mu.Unlock()

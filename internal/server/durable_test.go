@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -54,8 +55,8 @@ func startDurable(t *testing.T, dir, addr string, cfg Config) (*Server, *Recover
 	return srv, info
 }
 
-// rawConn is a hand-driven protocol-v1 connection with explicit control
-// over ClientID, request IDs and epochs — the knobs the crash tests need.
+// rawConn is a hand-driven protocol connection with explicit control over
+// ClientID, request IDs and epochs — the knobs the crash tests need.
 type rawConn struct {
 	t   *testing.T
 	c   net.Conn
@@ -71,7 +72,7 @@ func rawDial(t *testing.T, addr, clientID string, epoch uint64) (*rawConn, wire.
 		t.Fatal(err)
 	}
 	r := &rawConn{t: t, c: c, dec: wire.NewDecoder(c, wire.DefaultMaxPayload)}
-	f, err := wire.Encode(wire.OpHello, 1, wire.HelloReq{ClientID: clientID, MaxVersion: 1, Epoch: epoch})
+	f, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpHello, 1, &wire.HelloReq{ClientID: clientID, MaxVersion: wire.ProtocolV2, Epoch: epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func mustHello(t *testing.T, addr, clientID string, epoch uint64) (*rawConn, wir
 
 func (r *rawConn) call(op wire.Opcode, id uint64, payload any) wire.Frame {
 	r.t.Helper()
-	f, err := wire.Encode(op, id, payload)
+	f, err := wire.EncodeFrame(wire.ProtocolV2, op, id, payload)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -460,4 +461,65 @@ func TestDurableRecoveryFailsOnCorruptCheckpoint(t *testing.T) {
 	if _, _, err := NewDurable(dir, Config{}, seedFleet); err == nil {
 		t.Fatal("recovery from a corrupt checkpoint must fail loudly")
 	}
+}
+
+// A data directory whose receipts hold version-1 JSON responses — written
+// before version 2 became the only payload encoding, with no format field
+// — must fail recovery with ErrLegacyReceipts instead of replaying JSON
+// bytes to a version-2 client, whether the receipt sits in the WAL or in
+// the dedup sidecar.  The documented migration (clean drain, then remove
+// dedup.json) recovers.
+func TestDurableRecoveryRefusesLegacyReceipts(t *testing.T) {
+	legacy := `{"c":"alice","r":1,"op":32,"f":"eyJhcHBsaWVkIjoxfQ=="}`
+
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := most.OpenWAL(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seedFleet().AttachWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendNote(noteTagReceipt, []byte(legacy)); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, _, err := NewDurable(dir, Config{}, seedFleet); !errors.Is(err, ErrLegacyReceipts) {
+			t.Fatalf("recovery over a legacy WAL receipt: %v, want ErrLegacyReceipts", err)
+		}
+	})
+
+	t.Run("sidecar", func(t *testing.T) {
+		dir := t.TempDir()
+		srv, _ := startDurable(t, dir, "", Config{})
+		r, _ := mustHello(t, srv.Addr().String(), "alice", 1)
+		r.update(1, []wire.UpdateOp{motionOp(0, 1, 1)})
+		want := r.snapshot()
+		r.c.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil { // clean drain: final checkpoint
+			t.Fatal(err)
+		}
+		sidecar := filepath.Join(dir, dedupFile)
+		if err := os.WriteFile(sidecar, []byte(`{"receipts":[`+legacy+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := NewDurable(dir, Config{}, seedFleet); !errors.Is(err, ErrLegacyReceipts) {
+			t.Fatalf("recovery over a legacy sidecar: %v, want ErrLegacyReceipts", err)
+		}
+		if err := os.Remove(sidecar); err != nil {
+			t.Fatal(err)
+		}
+		srv2, info := startDurable(t, dir, "", Config{})
+		defer srv2.Abort()
+		if info.Fresh || info.Receipts != 0 {
+			t.Fatalf("migrated recovery: fresh=%v receipts=%d, want the checkpointed state and no receipts", info.Fresh, info.Receipts)
+		}
+		r2, _ := mustHello(t, srv2.Addr().String(), "alice", 2)
+		if got := r2.snapshot(); string(got) != string(want) {
+			t.Fatal("migrated recovery lost the checkpointed state")
+		}
+	})
 }

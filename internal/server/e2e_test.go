@@ -79,9 +79,9 @@ func TestServerBackpressureE2E(t *testing.T) {
 		tcp.SetReadBuffer(2048)
 	}
 	dec := wire.NewDecoder(raw, wire.DefaultMaxPayload)
-	mustCall := func(op wire.Opcode, id uint64, payload any) wire.Frame {
+	mustCall := func(version uint8, op wire.Opcode, id uint64, payload any) wire.Frame {
 		t.Helper()
-		f, err := wire.Encode(op, id, payload)
+		f, err := wire.EncodeFrame(version, op, id, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +94,8 @@ func TestServerBackpressureE2E(t *testing.T) {
 		}
 		return resp
 	}
-	mustCall(wire.OpHello, 1, wire.HelloReq{ClientID: "stalled"})
-	mustCall(wire.OpSubscribe, 2, wire.SubscribeReq{Src: subSrc, Horizon: 50})
+	mustCall(wire.ProtocolV1, wire.OpHello, 1, &wire.HelloReq{ClientID: "stalled", MaxVersion: wire.ProtocolV2})
+	mustCall(wire.ProtocolV2, wire.OpSubscribe, 2, &wire.SubscribeReq{Src: subSrc, Horizon: 50})
 	stallStart := time.Now()
 
 	// Pipelining writers: each client fires batched motion updates as fast

@@ -4,16 +4,16 @@
 // and server-push streaming of continuous-query notifications over
 // long-lived connections.
 //
-// # Protocol versions
+// # Protocol version
 //
-// The server speaks both wire encodings: protocol version 1 (JSON
-// payloads) and version 2 (the compact binary codec, see PROTOCOL.md).
-// Every session starts at version 1; the Hello handshake negotiates
-// min(client max, Config.MaxProtocol) and the session switches to the
-// negotiated version for all subsequent frames.  A frame carrying any
-// other version after negotiation is a protocol violation: the server
-// counts it (server.protocol_violations), pushes a best-effort error
-// frame, and disconnects the session.
+// Every session opens with the Hello handshake, spoken in version-1 (JSON)
+// frames; every frame after it is version 2, the compact binary codec (see
+// PROTOCOL.md).  A client whose Hello offers less than version 2 gets a
+// version-1 ErrorResp with code unsupported_version and the connection
+// closes.  Any other frame before the Hello, or a frame of another version
+// after it, is a protocol violation: the server counts it
+// (server.protocol_violations), pushes a best-effort error frame, and
+// disconnects the session.
 //
 // # Sessions and backpressure
 //
@@ -73,11 +73,6 @@ type Config struct {
 	// MaxPayload bounds per-frame payload allocation (default
 	// wire.DefaultMaxPayload).
 	MaxPayload int
-	// MaxProtocol caps the protocol version the server negotiates in the
-	// Hello handshake: 1 forces JSON payloads for every session, 2 (the
-	// default) lets v2 clients use the binary codec while v1 clients keep
-	// working.  Values outside [1, wire.MaxProtocolVersion] are clamped.
-	MaxProtocol int
 	// OutQueue is the per-session outbound frame queue length (default 256).
 	OutQueue int
 	// WriteBudget is the slow-consumer budget: the longest a frame may wait
@@ -182,9 +177,6 @@ func (srv *Server) DB() *most.Database { return srv.state().db }
 func (c Config) normalized() Config {
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = wire.DefaultMaxPayload
-	}
-	if c.MaxProtocol <= 0 || c.MaxProtocol > wire.MaxProtocolVersion {
-		c.MaxProtocol = wire.MaxProtocolVersion
 	}
 	if c.OutQueue <= 0 {
 		c.OutQueue = 256

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/mostdb/most/internal/ftl"
@@ -37,10 +36,6 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 
-	// proto is the session's negotiated protocol version: ProtocolV1 until
-	// a Hello negotiates higher.  Read by the reader, writer, and pumps.
-	proto atomic.Uint32
-
 	out        chan wire.Frame // all outbound frames
 	dead       chan struct{}   // closed by kill: stop everything now
 	flushc     chan struct{}   // closed by the reader on exit: flush and close
@@ -63,6 +58,13 @@ type session struct {
 	reqStart    time.Time
 	rollForward int
 	lastCode    string
+
+	// Reader-goroutine-only handshake state: hello is set once a Hello
+	// succeeds (the decoder then accepts only version-2 frames); refused
+	// is set when a Hello is refused for its protocol version, and the
+	// reader closes the connection after the refusal is sent.
+	hello   bool
+	refused bool
 
 	// Reader-goroutine-only cluster state: peer marks a session that
 	// identified as another node (HelloReq.Peer — gets the raised decoder
@@ -87,7 +89,7 @@ type session struct {
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
-	s := &session{
+	return &session{
 		srv:        srv,
 		conn:       conn,
 		out:        make(chan wire.Frame, srv.cfg.OutQueue),
@@ -97,17 +99,14 @@ func newSession(srv *Server, conn net.Conn) *session {
 		subs:       map[uint64]*serverSub{},
 		intern:     wire.Interner{},
 	}
-	s.proto.Store(wire.ProtocolV1)
-	return s
 }
 
 // run is the session main loop; it returns when the connection is done.
 //
-// The decoder is pinned to the session's protocol version at every frame:
-// before negotiation only version-1 frames are legal (Hello is always
-// spoken at v1), afterwards only the negotiated version — a frame carrying
-// any other version is a protocol violation that disconnects the session
-// after a best-effort error push.
+// The decoder is pinned at every frame: before the handshake the only
+// legal frame is a version-1 HELLO, afterwards only version-2 frames.
+// Anything else is a protocol violation that disconnects the session after
+// a best-effort error push.
 func (s *session) run() {
 	go s.writeLoop()
 	dec := wire.NewDecoder(bufio.NewReaderSize(s.conn, 64<<10), s.srv.cfg.MaxPayload)
@@ -120,20 +119,34 @@ func (s *session) run() {
 			dec.SetMax(s.srv.cfg.PeerMaxPayload)
 			peerRaised = true
 		}
-		dec.SetVersion(uint8(s.proto.Load()))
+		if s.hello {
+			dec.SetVersion(wire.ProtocolV2)
+		} else {
+			dec.SetVersion(wire.ProtocolV1)
+		}
 		f, err := dec.NextReuse()
+		if err == nil && !s.hello && f.Op != wire.OpHello {
+			err = fmt.Errorf("%w: %s before the Hello handshake", wire.ErrBadFrame, f.Op)
+		}
 		if err != nil {
 			// EOF, the drain deadline, a kill, or a protocol violation: in
 			// every case the session winds down.  Protocol violations get a
-			// best-effort error frame first.
+			// best-effort error frame first, in the version the peer reads.
 			if errors.Is(err, wire.ErrBadFrame) || errors.Is(err, wire.ErrFrameTooLarge) {
 				s.srv.m.protocolViolations.Inc()
-				s.tryEnqueue(s.enc(wire.OpError, 0, &wire.ErrorResp{Msg: err.Error()}))
+				if s.hello {
+					s.tryEnqueue(s.enc(wire.OpError, 0, &wire.ErrorResp{Msg: err.Error()}))
+				} else {
+					s.tryEnqueue(helloErr(0, "", err.Error()))
+				}
 			}
 			break
 		}
 		s.srv.m.framesIn.Inc()
 		s.handle(f)
+		if s.refused {
+			break
+		}
 	}
 	s.closeSubs("")
 	close(s.flushc)
@@ -253,11 +266,10 @@ func (s *session) tryEnqueue(f wire.Frame) {
 
 // ---- request dispatch ----
 
-// enc encodes a response or push payload at the session's negotiated
-// protocol version, drawing v2 payload buffers from the encode pool (the
-// writer recycles them after the socket write).
+// enc encodes a response or push payload, drawing the payload buffer from
+// the encode pool (the writer recycles it after the socket write).
 func (s *session) enc(op wire.Opcode, id uint64, payload any) wire.Frame {
-	f, err := wire.EncodePooled(uint8(s.proto.Load()), op, id, payload)
+	f, err := wire.EncodePooled(op, id, payload)
 	if err != nil {
 		// Payloads are our own types; failure to marshal them is a bug.
 		panic(err)
@@ -358,7 +370,7 @@ func (s *session) dispatch(f wire.Frame) wire.Frame {
 		if replay {
 			s.srv.m.dedupHits.Inc()
 			<-e.done
-			return s.transcode(e.frame, f.Op)
+			return e.frame
 		}
 		s.lastCode = ""
 		resp := s.execute(f)
@@ -380,9 +392,11 @@ func (s *session) dispatch(f wire.Frame) wire.Frame {
 // dispatchDurable is the mutating path on a durable server: execute and
 // append the receipt note under the commit lock (shared — exclusive for
 // SnapshotLoad, which rebases the WAL), so a checkpoint can never separate
-// a request's WAL records from its receipt.  The cache and the WAL both
-// store the version-1 encoding of the response; transcode re-frames
-// replays for whatever version the retrying connection negotiated.
+// a request's WAL records from its receipt.  The receipt and the cache
+// entry hold the very response frame sent to the client: nothing is
+// decoded or re-encoded.  The entry is finished before the lock is
+// released, so a checkpoint's sidecar never skips a request whose receipt
+// note its WAL truncation discards.
 func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCache) wire.Frame {
 	var e *dedupEntry
 	if cache != nil {
@@ -391,7 +405,7 @@ func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCac
 		if replay {
 			s.srv.m.dedupHits.Inc()
 			<-e.done
-			return s.transcode(e.frame, f.Op)
+			return e.frame
 		}
 	}
 	exclusive := f.Op == wire.OpSnapshotLoad
@@ -409,68 +423,21 @@ func (s *session) dispatchDurable(f wire.Frame, clientID string, cache *dedupCac
 	s.lastCode = ""
 	resp := s.execute(f)
 	s.rollForward = 0
-	var v1 wire.Frame
 	if e != nil {
-		v1 = s.transcodeTo(wire.ProtocolV1, resp, f.Op).Detach()
 		if s.lastCode != "" {
 			cache.remove(f.ID)
 		} else {
-			s.srv.logReceipt(clientID, f.ID, v1)
+			s.srv.logReceipt(clientID, f.ID, resp)
 		}
+		e.finish(resp.Detach())
 	}
 	if exclusive {
 		s.srv.commitMu.Unlock()
 	} else {
 		s.srv.commitMu.RUnlock()
 	}
-	if e != nil {
-		e.finish(v1)
-	}
 	s.srv.afterMutation()
 	return resp
-}
-
-// transcode re-frames a cached response at this session's negotiated
-// protocol version.  The dedup cache stores responses as encoded for the
-// session that executed them; a retry arriving on a reconnect that
-// negotiated a different version must still receive a frame its pinned
-// decoder accepts (PROTOCOL.md §5: replay encoding follows the retrying
-// connection).  reqOp selects the payload type of an OpResult frame.
-func (s *session) transcode(f wire.Frame, reqOp wire.Opcode) wire.Frame {
-	return s.transcodeTo(uint8(s.proto.Load()), f, reqOp)
-}
-
-// transcodeTo re-frames f at protocol version v (see transcode; the
-// durable commit path also uses it to pin cached responses to version 1
-// regardless of the executing session's negotiated version).
-func (s *session) transcodeTo(v uint8, f wire.Frame, reqOp wire.Opcode) wire.Frame {
-	if f.Version == v || (f.Version == 0 && v == wire.ProtocolV1) {
-		return f
-	}
-	var payload any
-	switch {
-	case f.Op == wire.OpError:
-		payload = &wire.ErrorResp{}
-	case reqOp == wire.OpUpdateBatch:
-		payload = &wire.UpdateBatchResp{}
-	case reqOp == wire.OpAdvance:
-		payload = &wire.AdvanceResp{}
-	case reqOp == wire.OpSnapshotLoad:
-		payload = &wire.SnapshotLoadResp{}
-	case reqOp == wire.OpHandoff:
-		payload = &wire.HandoffResp{}
-	default:
-		return f
-	}
-	if err := wire.Unmarshal(f, payload); err != nil {
-		return s.errFrame(f.ID, err)
-	}
-	out, err := wire.EncodeFrame(v, f.Op, f.ID, payload)
-	if err != nil {
-		// Re-encoding our own payload types cannot fail.
-		panic(err)
-	}
-	return out
 }
 
 func (s *session) execute(f wire.Frame) wire.Frame {
@@ -506,26 +473,30 @@ func (s *session) execute(f wire.Frame) wire.Frame {
 	}
 }
 
-// handleHello binds the client identity and negotiates the session
-// protocol version.  The response is always encoded at version 1 — the
-// client only switches encodings after reading it — and the session's
-// version changes just before the response is enqueued, so the next frame
-// the reader decodes is already held to the negotiated version.
+// handleHello checks the client's protocol version and binds its
+// identity.  Every Hello-exchange frame is version 1 — the client switches
+// to version 2 only after reading the response — and the session switches
+// just before the response is enqueued, so the next frame the reader
+// decodes is already held to version 2.  A client that cannot speak
+// version 2 gets a typed refusal and the connection closes.
 func (s *session) handleHello(f wire.Frame) wire.Frame {
+	if s.hello {
+		return s.errFrame(f.ID, errors.New("server: session already said hello"))
+	}
 	var req wire.HelloReq
 	if err := wire.Unmarshal(f, &req); err != nil {
-		return s.errFrame(f.ID, err)
+		return helloErr(f.ID, "", err.Error())
+	}
+	if req.MaxVersion < wire.ProtocolV2 {
+		s.refused = true
+		return helloErr(f.ID, wire.CodeUnsupportedVersion, fmt.Sprintf(
+			"client speaks protocol version %d at most; this server requires version %d after the Hello",
+			max(req.MaxVersion, wire.ProtocolV1), wire.ProtocolV2))
 	}
 	resumed, zombie, ok := s.srv.fenceEpoch(req.ClientID, req.Epoch, s)
 	if !ok {
-		resp, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpError, f.ID, &wire.ErrorResp{
-			Msg:  fmt.Sprintf("epoch %d superseded by a newer session of %q", req.Epoch, req.ClientID),
-			Code: wire.CodeStaleEpoch,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return resp
+		return helloErr(f.ID, wire.CodeStaleEpoch,
+			fmt.Sprintf("epoch %d superseded by a newer session of %q", req.Epoch, req.ClientID))
 	}
 	if zombie != nil && zombie != s {
 		// A newer epoch of the same client fences its predecessor: the old
@@ -538,14 +509,23 @@ func (s *session) handleHello(f wire.Frame) wire.Frame {
 	s.dedup = s.srv.dedupFor(req.ClientID)
 	s.mu.Unlock()
 	s.peer = req.Peer
-	v := wire.NegotiateVersion(req.MaxVersion, s.srv.cfg.MaxProtocol)
 	resp, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpResult, f.ID,
-		&wire.HelloResp{Server: s.srv.cfg.Name, Version: int(v), Resumed: resumed})
+		&wire.HelloResp{Server: s.srv.cfg.Name, Version: wire.ProtocolV2, Resumed: resumed})
 	if err != nil {
 		panic(err)
 	}
-	s.proto.Store(uint32(v))
+	s.hello = true
 	return resp
+}
+
+// helloErr is a version-1 ErrorResp frame: the refusal of a Hello, which
+// the client reads before it speaks version 2.
+func helloErr(id uint64, code, msg string) wire.Frame {
+	f, err := wire.EncodeFrame(wire.ProtocolV1, wire.OpError, id, &wire.ErrorResp{Msg: msg, Code: code})
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 func (s *session) handleQuery(f wire.Frame) wire.Frame {
@@ -574,20 +554,11 @@ func (s *session) handleQuery(f wire.Frame) wire.Frame {
 
 // handleUpdateBatch is the ingest hot path.  The request decodes into the
 // session's reused struct (slice capacity and interned object IDs carry
-// over between batches), is applied op by op, and the small fixed-size
-// acknowledgement encodes into a pooled buffer — zero steady-state
-// allocations end to end on the v2 decode path (TestIngestZeroAlloc).
+// over between batches; the decode overwrites every field), is applied op
+// by op, and the small fixed-size acknowledgement encodes into a pooled
+// buffer — zero steady-state allocations end to end (TestIngestZeroAlloc).
 func (s *session) handleUpdateBatch(f wire.Frame) wire.Frame {
 	req := &s.reqUB
-	// Zero the recycled op slots before decoding into them: v1 JSON omits
-	// zero-valued fields (omitempty), so a stale element would otherwise
-	// leak the previous batch's values into ops that legitimately carry
-	// zeros (e.g. a stop — SetMotion with a zero vector).  DeadlineMS is
-	// omitempty too: without the reset, one deadline-bearing request would
-	// impose its budget on every later batch on the session.
-	clear(req.Ops[:cap(req.Ops)])
-	req.Ops = req.Ops[:0]
-	req.DeadlineMS = 0
 	if err := wire.UnmarshalInterned(f, req, s.intern); err != nil {
 		return s.errFrame(f.ID, err)
 	}
@@ -922,7 +893,7 @@ func (s *session) handleForward(f wire.Frame) wire.Frame {
 	if s.inForward {
 		return s.errFrame(f.ID, errors.New("server: forward loop"))
 	}
-	inner, err := wire.EncodeFrame(uint8(s.proto.Load()), wire.OpUpdateBatch, req.ReqID,
+	inner, err := wire.EncodeFrame(wire.ProtocolV2, wire.OpUpdateBatch, req.ReqID,
 		&wire.UpdateBatchReq{Ops: req.Ops})
 	if err != nil {
 		panic(err)

@@ -10,9 +10,9 @@ import (
 	"github.com/mostdb/most/internal/temporal"
 )
 
-// This file is the protocol-version-2 payload codec: a compact binary
-// encoding of every request, response, and push payload, replacing the
-// version-1 JSON bodies on the hot path.  The grammar (specified byte by
+// This file is the protocol-version-2 payload codec: the compact binary
+// encoding of every request, response, and push payload after the Hello
+// exchange.  The grammar (specified byte by
 // byte in PROTOCOL.md) uses four primitives:
 //
 //	u8/u32/u64  fixed-width little-endian unsigned integers

@@ -7,27 +7,20 @@ import (
 )
 
 // FuzzWireDecode feeds arbitrary byte streams to the frame decoder and the
-// payload unmarshalers of both protocol versions.  The invariants: the
-// decoder never panics, never allocates more than its configured payload
-// bound per frame, consumes the stream frame by frame until an error or
-// EOF, every frame it accepts re-encodes to bytes that decode to an
-// identical frame, and every v2 payload that decodes re-encodes to a
-// canonical byte string (decode∘encode is idempotent).  Hello payloads
-// additionally drive the negotiation state machine: whatever MaxVersion a
-// hostile client declares, the negotiated version stays in
-// [ProtocolV1, MaxProtocolVersion].
+// payload unmarshalers.  The invariants: the decoder never panics, never
+// allocates more than its configured payload bound per frame, consumes the
+// stream frame by frame until an error or EOF, every frame it accepts
+// re-encodes to bytes that decode to an identical frame, every v2 payload
+// that decodes re-encodes to a canonical byte string (decode∘encode is
+// idempotent), and a version-1 frame decodes only into the Hello
+// exchange's payloads (HelloReq, HelloResp, ErrorResp).
 func FuzzWireDecode(f *testing.F) {
-	// Seed corpus: valid frames of each shape in both encodings, then
-	// classic hostile inputs.
+	// Seed corpus: valid v2 frames of each shape, the v1 handshake frames,
+	// then classic hostile inputs.
 	ping, _ := AppendFrame(nil, Frame{Op: OpPing, ID: 1})
-	qf, _ := Encode(OpQuery, 2, QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50})
-	query, _ := AppendFrame(nil, qf)
-	nf, _ := Encode(OpNotify, 0, Notify{SubID: 3, Seq: 9, Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-1"}}, Start: 0, End: 7}}})
-	notify, _ := AppendFrame(nil, nf)
-	two := append(append([]byte(nil), ping...), query...)
-
 	qf2, _ := EncodeFrame(ProtocolV2, OpQuery, 2, &QueryReq{Src: "RETRIEVE o FROM Vehicles o WHERE TRUE", Horizon: 50})
 	query2, _ := AppendFrame(nil, qf2)
+	two := append(append([]byte(nil), ping...), query2...)
 	uf2, _ := EncodeFrame(ProtocolV2, OpUpdateBatch, 4, &UpdateBatchReq{Ops: []UpdateOp{
 		{Op: OpSetMotion, ID: "car-1", VX: 1.5, VY: -2},
 		{Op: OpDelete, ID: "car-2"},
@@ -35,7 +28,6 @@ func FuzzWireDecode(f *testing.F) {
 	update2, _ := AppendFrame(nil, uf2)
 	nf2, _ := EncodeFrame(ProtocolV2, OpNotify, 0, &Notify{SubID: 3, Seq: 9, Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-1"}}, Start: 0, End: 7}}})
 	notify2, _ := AppendFrame(nil, nf2)
-	mixed := append(append([]byte(nil), query...), update2...)
 
 	zf2, _ := EncodeFrame(ProtocolV2, OpZoneMap, 5, &ZoneMapResp{Epoch: 1, Zones: []Zone{
 		{ID: 0, MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, Addr: "127.0.0.1:1"},
@@ -48,24 +40,27 @@ func FuzzWireDecode(f *testing.F) {
 	}})
 	forward2, _ := AppendFrame(nil, ff2)
 
-	hello, _ := Encode(OpHello, 1, HelloReq{ClientID: "fuzz", MaxVersion: 2})
+	hello, _ := EncodeFrame(ProtocolV1, OpHello, 1, &HelloReq{ClientID: "fuzz", MaxVersion: 2})
 	helloFrame, _ := AppendFrame(nil, hello)
-	helloHostile, _ := Encode(OpHello, 1, HelloReq{ClientID: "fuzz", MaxVersion: 999})
-	helloHostileFrame, _ := AppendFrame(nil, helloHostile)
+	helloLegacy, _ := EncodeFrame(ProtocolV1, OpHello, 1, &HelloReq{ClientID: "fuzz"})
+	helloLegacyFrame, _ := AppendFrame(nil, helloLegacy)
+	refusal, _ := EncodeFrame(ProtocolV1, OpError, 1, &ErrorResp{Msg: "v1 only", Code: CodeUnsupportedVersion})
+	refusalFrame, _ := AppendFrame(nil, refusal)
+	// A legacy v1 JSON request after the handshake: must never decode.
+	legacyQuery, _ := AppendFrame(nil, Frame{Op: OpQuery, ID: 2, Version: ProtocolV1, Payload: []byte(`{"src":"RETRIEVE o FROM Vehicles o WHERE TRUE"}`)})
 
 	f.Add(ping)
-	f.Add(query)
-	f.Add(notify)
 	f.Add(two)
 	f.Add(query2)
 	f.Add(update2)
 	f.Add(notify2)
-	f.Add(mixed)
 	f.Add(zonemap2)
 	f.Add(handoff2)
 	f.Add(forward2)
 	f.Add(helloFrame)
-	f.Add(helloHostileFrame)
+	f.Add(helloLegacyFrame)
+	f.Add(refusalFrame)
+	f.Add(legacyQuery)
 	f.Add([]byte{})
 	f.Add([]byte("MW"))                                         // truncated header
 	f.Add(append([]byte(nil), ping[:HeaderSize]...))            // header only
@@ -73,6 +68,7 @@ func FuzzWireDecode(f *testing.F) {
 	huge := append([]byte(nil), ping...)
 	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0xff // 4 GiB length
 	f.Add(huge)
+	f.Add(append(append([]byte(nil), helloFrame...), update2...)) // a session: handshake, then v2
 
 	const maxPayload = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -106,17 +102,9 @@ func FuzzWireDecode(f *testing.F) {
 			switch fr.Op {
 			case OpHello:
 				var h HelloReq
-				if Unmarshal(fr, &h) == nil {
-					// Negotiation must map any advertised maximum into the
-					// implemented window.
-					for _, serverMax := range []int{-1, 0, 1, 2, 1000} {
-						v := NegotiateVersion(h.MaxVersion, serverMax)
-						if v < ProtocolV1 || v > MaxProtocolVersion {
-							t.Fatalf("NegotiateVersion(%d, %d) = %d, outside [1, %d]",
-								h.MaxVersion, serverMax, v, MaxProtocolVersion)
-						}
-					}
-				}
+				_ = Unmarshal(fr, &h)
+			case OpError:
+				checkPayload(t, fr, &ErrorResp{}, &ErrorResp{})
 			case OpQuery:
 				checkPayload(t, fr, &QueryReq{}, &QueryReq{})
 			case OpUpdateBatch:
@@ -140,14 +128,21 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// checkPayload unmarshals a fuzzed frame into a; if the payload is
-// accepted and the frame is v2, it checks decode∘encode idempotence: the
-// re-encoded bytes b1 must decode (into b) and re-encode to exactly b1.
-// This holds bit-for-bit even for NaN floats, since v2 carries IEEE-754
-// bits verbatim.
+// checkPayload unmarshals a fuzzed frame into a.  A version-1 frame may
+// decode only into a Hello-exchange payload.  If a v2 payload is accepted,
+// it checks decode∘encode idempotence: the re-encoded bytes b1 must decode
+// (into b) and re-encode to exactly b1.  This holds bit-for-bit even for
+// NaN floats, since v2 carries IEEE-754 bits verbatim.
 func checkPayload(t *testing.T, fr Frame, a, b binaryPayload) {
 	t.Helper()
-	if err := Unmarshal(fr, a); err != nil || fr.Version != ProtocolV2 {
+	err := Unmarshal(fr, a)
+	if fr.Version == ProtocolV1 {
+		if err == nil && !isHandshake(a) {
+			t.Fatalf("v1 %s frame decoded into %T; v1 carries only the handshake", fr.Op, a)
+		}
+		return
+	}
+	if err != nil {
 		return
 	}
 	b1 := a.appendBinary(nil)

@@ -12,13 +12,12 @@ import (
 )
 
 // This file defines the typed frame payloads and the conversions between
-// wire values and the evaluator's eval.Val.  Each payload has two
-// encodings selected by the frame's protocol version: version 1 is JSON
-// (zero-dependency, unknown fields tolerated), version 2 is the compact
-// binary grammar of binary.go.  Both round-trip every value exactly
-// (float64 via IEEE-754 bits in v2 and strconv's shortest round-trippable
-// form in v1, ticks as int64), which is what lets the loopback oracle
-// demand bit-identical answers at either version.
+// wire values and the evaluator's eval.Val.  Every payload travels in the
+// version-2 binary grammar of binary.go, which round-trips every value
+// exactly (float64 as IEEE-754 bits, ticks as int64) — what lets the
+// loopback oracle demand bit-identical answers.  The three Hello-exchange
+// payloads (HelloReq, HelloResp, ErrorResp) also have a version-1 JSON
+// form, the only JSON on the wire; their json tags are normative for it.
 
 // HelloReq introduces a client.  ClientID keys the server's idempotence
 // cache: a request retried on a new connection under the same ClientID and
@@ -26,8 +25,9 @@ import (
 // a real socket).  Empty disables retry deduplication.
 //
 // MaxVersion is the highest protocol version the client speaks; 0 (the
-// field absent — every pre-v2 client) means 1.  Hello frames themselves
-// are always version 1, so negotiation works against any peer.
+// field absent — every pre-v2 client) means 1.  The server refuses a Hello
+// below 2 with CodeUnsupportedVersion.  Hello frames themselves are always
+// version 1, so even a v1-only peer can read that refusal.
 //
 // Epoch stamps the client's session generation: a self-healing client
 // increments it on every reconnect attempt, so the server can tell a
@@ -46,9 +46,8 @@ type HelloReq struct {
 	Peer       bool   `json:"peer,omitempty"`
 }
 
-// HelloResp reports the server identity and the negotiated session
-// protocol version: min(HelloReq.MaxVersion, server's maximum).  Every
-// frame after this response carries exactly this version.
+// HelloResp reports the server identity and the session protocol version,
+// always 2: every frame after this response carries exactly this version.
 //
 // Resumed is true when the server recognized the ClientID from an earlier,
 // lower-epoch session: the client's idempotence cache is still bound, and
@@ -66,15 +65,15 @@ type HelloResp struct {
 // "deadline_exceeded") work whose budget expired while it queued for
 // admission, instead of computing an answer nobody is waiting for.
 type QueryReq struct {
-	Src        string        `json:"src"`
-	Horizon    temporal.Tick `json:"horizon,omitempty"`
-	DeadlineMS int64         `json:"deadline_ms,omitempty"`
+	Src        string
+	Horizon    temporal.Tick
+	DeadlineMS int64
 }
 
 // QueryResp carries the instantiations satisfied at evaluation time.
 type QueryResp struct {
-	Now  temporal.Tick `json:"now"`
-	Rows [][]Value     `json:"rows,omitempty"`
+	Now  temporal.Tick
+	Rows [][]Value
 }
 
 // Update op kinds for UpdateOp.Op.
@@ -87,98 +86,98 @@ const (
 
 // UpdateOp is one explicit update in a batch.
 type UpdateOp struct {
-	Op string `json:"op"`
-	ID string `json:"id"`
+	Op string
+	ID string
 	// set_motion
-	VX float64 `json:"vx,omitempty"`
-	VY float64 `json:"vy,omitempty"`
+	VX float64
+	VY float64
 	// set_static
-	Attr  string `json:"attr,omitempty"`
-	Value *Value `json:"value,omitempty"`
+	Attr  string
+	Value *Value
 	// insert: an object in the snapshot encoding (most.EncodeObjectJSON)
-	Object json.RawMessage `json:"object,omitempty"`
+	Object json.RawMessage
 }
 
 // UpdateBatchReq applies explicit updates in order.  Application stops at
 // the first failing op; the response reports how many were applied.
 // DeadlineMS is the per-attempt budget, as on QueryReq.
 type UpdateBatchReq struct {
-	Ops        []UpdateOp `json:"ops"`
-	DeadlineMS int64      `json:"deadline_ms,omitempty"`
+	Ops        []UpdateOp
+	DeadlineMS int64
 }
 
 // UpdateBatchResp acknowledges a batch.
 type UpdateBatchResp struct {
-	Applied int           `json:"applied"`
-	Now     temporal.Tick `json:"now"`
-	Version uint64        `json:"version"`
+	Applied int
+	Now     temporal.Tick
+	Version uint64
 }
 
 // AdvanceReq moves the clock forward by D ticks.
 type AdvanceReq struct {
-	D temporal.Tick `json:"d"`
+	D temporal.Tick
 }
 
 // AdvanceResp reports the clock after the advance.
 type AdvanceResp struct {
-	Now temporal.Tick `json:"now"`
+	Now temporal.Tick
 }
 
 // ObjectsReq lists objects; Class == "" lists every object.
 type ObjectsReq struct {
-	Class string `json:"class,omitempty"`
+	Class string
 }
 
 // ObjectInfo is one object row with its position at the server's current
 // tick (X/Y meaningless when HasPos is false, e.g. non-spatial classes).
 type ObjectInfo struct {
-	ID     string  `json:"id"`
-	Class  string  `json:"class"`
-	HasPos bool    `json:"has_pos"`
-	X      float64 `json:"x,omitempty"`
-	Y      float64 `json:"y,omitempty"`
+	ID     string
+	Class  string
+	HasPos bool
+	X      float64
+	Y      float64
 }
 
 // ObjectsResp carries the object listing.
 type ObjectsResp struct {
-	Now     temporal.Tick `json:"now"`
-	Objects []ObjectInfo  `json:"objects,omitempty"`
+	Now     temporal.Tick
+	Objects []ObjectInfo
 }
 
 // SnapshotResp carries a database snapshot (most.SnapshotJSON encoding).
 type SnapshotResp struct {
-	Data json.RawMessage `json:"data"`
+	Data json.RawMessage
 }
 
 // SnapshotLoadReq replaces the server's database with the snapshot.  Every
 // active subscription (all sessions) is closed with an OpSubClosed push.
 type SnapshotLoadReq struct {
-	Data json.RawMessage `json:"data"`
+	Data json.RawMessage
 }
 
 // SnapshotLoadResp acknowledges the swap.
 type SnapshotLoadResp struct {
-	Now     temporal.Tick `json:"now"`
-	Objects int           `json:"objects"`
+	Now     temporal.Tick
+	Objects int
 }
 
 // SubscribeReq registers a continuous query on the session's connection.
 type SubscribeReq struct {
-	Src     string        `json:"src"`
-	Horizon temporal.Tick `json:"horizon,omitempty"`
+	Src     string
+	Horizon temporal.Tick
 }
 
 // SubscribeResp acknowledges a subscription with the initial materialized
 // Answer(CQ).
 type SubscribeResp struct {
-	SubID  uint64        `json:"sub_id"`
-	Now    temporal.Tick `json:"now"`
-	Answer []AnswerRow   `json:"answer,omitempty"`
+	SubID  uint64
+	Now    temporal.Tick
+	Answer []AnswerRow
 }
 
 // UnsubscribeReq cancels a subscription.
 type UnsubscribeReq struct {
-	SubID uint64 `json:"sub_id"`
+	SubID uint64
 }
 
 // Notify is the server push after a maintenance round: the full new
@@ -186,16 +185,16 @@ type UnsubscribeReq struct {
 // gaps mean rounds were coalesced while the connection was backed up (the
 // latest answer always supersedes skipped ones).
 type Notify struct {
-	SubID  uint64      `json:"sub_id"`
-	Seq    uint64      `json:"seq"`
-	Answer []AnswerRow `json:"answer,omitempty"`
+	SubID  uint64
+	Seq    uint64
+	Answer []AnswerRow
 }
 
 // SubClosed is the server push ending a subscription (database replaced,
 // server drain, or query error); no further notifies follow.
 type SubClosed struct {
-	SubID  uint64 `json:"sub_id"`
-	Reason string `json:"reason,omitempty"`
+	SubID  uint64
+	Reason string
 }
 
 // Machine-readable error codes for ErrorResp.Code.  Plain request failures
@@ -217,6 +216,11 @@ const (
 	// does not own.  The request was NOT executed; ErrorResp.Addr names
 	// the owning node when known, and the caller should redirect there.
 	CodeWrongZone = "wrong_zone"
+	// CodeUnsupportedVersion refuses a Hello whose MaxVersion is below 2:
+	// every payload after the handshake is version-2 binary, which the
+	// client does not speak.  The refusal is a version-1 frame, and the
+	// server closes the connection after sending it.
+	CodeUnsupportedVersion = "unsupported_version"
 )
 
 // ErrorResp reports a failed request.  Code, when set, is one of the Code*
@@ -241,12 +245,12 @@ type ErrorResp struct {
 // Zone is one rectangular region of the partitioned plane and the address
 // of the node that owns the moving objects inside it.
 type Zone struct {
-	ID   int     `json:"id"`
-	MinX float64 `json:"min_x"`
-	MinY float64 `json:"min_y"`
-	MaxX float64 `json:"max_x"`
-	MaxY float64 `json:"max_y"`
-	Addr string  `json:"addr"`
+	ID   int
+	MinX float64
+	MinY float64
+	MaxX float64
+	MaxY float64
+	Addr string
 }
 
 // ZoneMapResp answers OpZoneMap (the request carries no payload): the full
@@ -256,9 +260,9 @@ type Zone struct {
 // bus fleets — that joins may reference); updates to those classes are
 // broadcast rather than routed.
 type ZoneMapResp struct {
-	Epoch      uint64   `json:"epoch"`
-	Zones      []Zone   `json:"zones"`
-	Replicated []string `json:"replicated,omitempty"`
+	Epoch      uint64
+	Zones      []Zone
+	Replicated []string
 }
 
 // HandoffReq transfers ownership of one moving object between nodes when
@@ -272,18 +276,18 @@ type ZoneMapResp struct {
 // transfer at or below it, so retried and reordered handoffs (crash
 // during handoff, duplicate delivery) apply exactly once.
 type HandoffReq struct {
-	ID      string          `json:"id"`
-	Version uint64          `json:"version"`
-	From    string          `json:"from,omitempty"`
-	Object  json.RawMessage `json:"object"`
+	ID      string
+	Version uint64
+	From    string
+	Object  json.RawMessage
 }
 
 // HandoffResp acknowledges a transfer.  Accepted is false when the version
 // fence already covered this transfer (a duplicate); either way the sender
 // may release the object — the receiver durably owns it.
 type HandoffResp struct {
-	Accepted bool          `json:"accepted"`
-	Now      temporal.Tick `json:"now"`
+	Accepted bool
+	Now      temporal.Tick
 }
 
 // ForwardReq relays an update batch to the owning node on behalf of the
@@ -293,20 +297,20 @@ type HandoffResp struct {
 // still applies at most once cluster-wide.  The response is a plain
 // UpdateBatchResp (or ErrorResp).
 type ForwardReq struct {
-	Origin string     `json:"origin"`
-	ReqID  uint64     `json:"req_id"`
-	Ops    []UpdateOp `json:"ops"`
+	Origin string
+	ReqID  uint64
+	Ops    []UpdateOp
 }
 
 // ---- values ----
 
 // Value is the wire form of eval.Val.
 type Value struct {
-	Kind uint8   `json:"k"`
-	Obj  string  `json:"o,omitempty"`
-	Num  float64 `json:"n,omitempty"`
-	Str  string  `json:"s,omitempty"`
-	Bool bool    `json:"b,omitempty"`
+	Kind uint8
+	Obj  string
+	Num  float64
+	Str  string
+	Bool bool
 }
 
 // FromVal converts an evaluator value.
@@ -337,9 +341,9 @@ func FromRows(rows [][]eval.Val) [][]Value {
 
 // AnswerRow is one (instantiation, maximal interval) answer tuple.
 type AnswerRow struct {
-	Vals  []Value       `json:"vals"`
-	Start temporal.Tick `json:"start"`
-	End   temporal.Tick `json:"end"`
+	Vals  []Value
+	Start temporal.Tick
+	End   temporal.Tick
 }
 
 // FromRelation flattens a materialized relation into answer rows in the

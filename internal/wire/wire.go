@@ -2,26 +2,26 @@
 // versioned frame codec carrying typed payloads.  One frame is
 //
 //	magic   2 bytes  'M' 'W'
-//	version 1 byte   protocol version of the payload encoding (1 or 2)
+//	version 1 byte   payload encoding: 2 (binary), or 1 for the Hello exchange
 //	opcode  1 byte   Opcode
 //	id      8 bytes  big-endian request ID (0 on unsolicited pushes)
 //	length  4 bytes  big-endian payload length
 //	payload length bytes
 //
-// The 16-byte header is identical in every protocol version; the version
-// byte selects the payload encoding.  Version 1 payloads are JSON; version
-// 2 payloads are the compact binary encoding of binary.go (fixed-width
-// little-endian numbers, varint-prefixed strings, IEEE-754 float64 bits).
-// Both encodings round-trip every value exactly, which is what lets the
-// loopback oracle demand bit-identical answers across the wire.
+// Every request, response and push payload is encoded in protocol version
+// 2, the compact binary encoding of binary.go (fixed-width little-endian
+// numbers, varint-prefixed strings, IEEE-754 float64 bits), which
+// round-trips every value exactly — what lets the loopback oracle demand
+// bit-identical answers across the wire.
 //
-// Sessions negotiate the version in the Hello handshake: Hello frames are
-// always version 1, the client advertises the highest version it speaks
-// (HelloReq.MaxVersion), and the server answers with the session version
-// (HelloResp.Version = min of the two) — every subsequent frame in either
-// direction carries exactly that version.  See PROTOCOL.md for the formal
+// The one exception is the Hello handshake: HelloReq, HelloResp and the
+// ErrorResp refusing a Hello are version-1 frames with JSON payloads, so a
+// peer that speaks only version 1 can still read its typed refusal
+// (CodeUnsupportedVersion).  The client offers HelloReq.MaxVersion >= 2,
+// the server answers HelloResp.Version = 2, and every later frame in
+// either direction carries version 2.  See PROTOCOL.md for the formal
 // specification: header layout, opcode table, payload grammars byte by
-// byte, and the negotiation state machine.
+// byte, and the handshake state machine.
 //
 // Requests carry a per-connection-unique ID; every response echoes the ID
 // of the request it answers, so a client may pipeline any number of
@@ -43,19 +43,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 )
 
-// Protocol versions.  V1 frames carry JSON payloads; V2 frames carry the
-// compact binary encoding.  The Hello handshake (always spoken at V1)
-// negotiates the session version.
+// Protocol versions.
 const (
-	// ProtocolV1 is the original JSON payload encoding.
+	// ProtocolV1 frames carry JSON payloads.  Only the Hello exchange
+	// (HelloReq, HelloResp, and the ErrorResp refusing a Hello) uses it.
 	ProtocolV1 = 1
-	// ProtocolV2 is the compact binary payload encoding.
+	// ProtocolV2 is the compact binary payload encoding: every frame after
+	// the Hello exchange.
 	ProtocolV2 = 2
-	// MaxProtocolVersion is the highest version this package implements.
-	MaxProtocolVersion = ProtocolV2
 )
 
 // HeaderSize is the fixed frame header length in bytes, identical across
@@ -69,13 +68,12 @@ const DefaultMaxPayload = 64 << 20
 // magic identifies a MOST wire frame.
 var magic = [2]byte{'M', 'W'}
 
-// Opcode discriminates frame payloads.  The opcode space is shared by both
-// protocol versions; only the payload encoding differs.
+// Opcode discriminates frame payloads.
 type Opcode uint8
 
 // Request opcodes (client to server).
 const (
-	OpHello        Opcode = 1  // HelloReq: session setup, identity, version negotiation
+	OpHello        Opcode = 1  // HelloReq: session setup, identity, version check
 	OpPing         Opcode = 2  // empty: liveness probe
 	OpQuery        Opcode = 3  // QueryReq: instantaneous FTL query
 	OpUpdateBatch  Opcode = 4  // UpdateBatchReq: batched explicit updates
@@ -149,9 +147,9 @@ func (o Opcode) valid() bool {
 	return (o >= OpHello && o <= OpForward) || (o >= OpResult && o <= OpSubClosed)
 }
 
-// Frame is one decoded protocol frame.  Version is the payload encoding
-// (ProtocolV1 or ProtocolV2); the zero value encodes as ProtocolV1 so
-// pre-negotiation code paths stay valid.
+// Frame is one decoded protocol frame.  Version is the payload encoding:
+// ProtocolV2, or ProtocolV1 for the Hello exchange; the zero value encodes
+// as ProtocolV2.
 type Frame struct {
 	Op      Opcode
 	ID      uint64
@@ -179,35 +177,8 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds payload bound")
 )
 
-// ErrTooLarge is the former name of ErrFrameTooLarge.
-//
-// Deprecated: use ErrFrameTooLarge.
-var ErrTooLarge = ErrFrameTooLarge
-
-// NegotiateVersion computes the session protocol version from the client's
-// advertised maximum (HelloReq.MaxVersion; values < 1 mean a pre-v2 client
-// that did not send the field) and the server's configured maximum.  The
-// result is always a version both sides speak: min of the two maxima,
-// clamped to [ProtocolV1, MaxProtocolVersion].
-func NegotiateVersion(clientMax, serverMax int) uint8 {
-	if clientMax < ProtocolV1 {
-		clientMax = ProtocolV1
-	}
-	if serverMax < ProtocolV1 {
-		serverMax = ProtocolV1
-	}
-	v := clientMax
-	if serverMax < v {
-		v = serverMax
-	}
-	if v > MaxProtocolVersion {
-		v = MaxProtocolVersion
-	}
-	return uint8(v)
-}
-
 // AppendFrame serializes the frame onto buf and returns the extended
-// slice.  A zero Frame.Version encodes as ProtocolV1.  It refuses payloads
+// slice.  A zero Frame.Version encodes as ProtocolV2.  It refuses payloads
 // beyond the uint32 range and versions this package does not speak.
 func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > int(^uint32(0)) {
@@ -215,9 +186,9 @@ func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	}
 	v := f.Version
 	if v == 0 {
-		v = ProtocolV1
+		v = ProtocolV2
 	}
-	if v > MaxProtocolVersion {
+	if v > ProtocolV2 {
 		return nil, fmt.Errorf("%w: cannot encode version %d", ErrBadFrame, v)
 	}
 	var hdr [HeaderSize]byte
@@ -241,24 +212,24 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// Encode marshals payload into a version-1 (JSON) frame.  A nil payload
-// produces an empty frame body.  For version-aware encoding use
-// EncodeFrame.
-func Encode(op Opcode, id uint64, payload any) (Frame, error) {
-	return EncodeFrame(ProtocolV1, op, id, payload)
-}
-
-// EncodeFrame marshals payload at the given protocol version.  Version 1
-// marshals JSON; version 2 requires payload to be a pointer to one of this
-// package's payload types (or nil) and appends its binary form.
+// EncodeFrame marshals payload at the given protocol version.  Version 2
+// (or 0) requires payload to be a pointer to one of this package's payload
+// types (or nil) and appends its binary form; version 1 marshals JSON and
+// accepts only the Hello exchange's payloads (*HelloReq, *HelloResp,
+// *ErrorResp).
 func EncodeFrame(version uint8, op Opcode, id uint64, payload any) (Frame, error) {
 	f := Frame{Op: op, ID: id, Version: version}
+	if f.Version == 0 {
+		f.Version = ProtocolV2
+	}
 	if payload == nil {
 		return f, nil
 	}
-	switch version {
-	case 0, ProtocolV1:
-		f.Version = ProtocolV1
+	switch f.Version {
+	case ProtocolV1:
+		if !isHandshake(payload) {
+			return Frame{}, fmt.Errorf("wire: encode %s: %T is not a Hello-exchange payload; version 1 carries only the handshake", op, payload)
+		}
 		data, err := json.Marshal(payload)
 		if err != nil {
 			return Frame{}, fmt.Errorf("wire: encode %s: %w", op, err)
@@ -276,18 +247,27 @@ func EncodeFrame(version uint8, op Opcode, id uint64, payload any) (Frame, error
 	return f, nil
 }
 
+// isHandshake reports whether v is one of the payloads the version-1 Hello
+// exchange carries.
+func isHandshake(v any) bool {
+	switch v.(type) {
+	case *HelloReq, *HelloResp, *ErrorResp:
+		return true
+	}
+	return false
+}
+
 // encBufPool recycles payload buffers between EncodePooled and Recycle so
 // the steady-state encode path performs no allocation.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// EncodePooled is EncodeFrame drawing the version-2 payload buffer from an
-// internal pool.  The returned frame must be handed to Recycle after its
+// EncodePooled is EncodeFrame at version 2 drawing the payload buffer from
+// an internal pool.  The returned frame must be handed to Recycle after its
 // last use (typically: after the socket write), or detached with
-// Frame.Detach if it is retained.  Version-1 frames are encoded normally
-// and Recycle is a no-op on them.
-func EncodePooled(version uint8, op Opcode, id uint64, payload any) (Frame, error) {
-	if version != ProtocolV2 || payload == nil {
-		return EncodeFrame(version, op, id, payload)
+// Frame.Detach if it is retained.
+func EncodePooled(op Opcode, id uint64, payload any) (Frame, error) {
+	if payload == nil {
+		return EncodeFrame(ProtocolV2, op, id, nil)
 	}
 	ba, ok := payload.(binaryPayload)
 	if !ok {
@@ -319,8 +299,8 @@ func (f Frame) Detach() Frame {
 	return f
 }
 
-// Decoder reads frames from a stream with a hard payload bound and a
-// negotiable accepted-version window.
+// Decoder reads frames from a stream with a hard payload bound and an
+// accepted-version window.
 type Decoder struct {
 	r          io.Reader
 	max        uint32
@@ -329,22 +309,21 @@ type Decoder struct {
 	buf        []byte // NextReuse payload buffer, reused across frames
 }
 
-// NewDecoder returns a decoder over r accepting every protocol version
-// this package speaks (pin the session version with SetVersion after
-// negotiation).  maxPayload bounds per-frame allocation; values <= 0
-// select DefaultMaxPayload.
+// NewDecoder returns a decoder over r accepting both frame versions this
+// package speaks (pin one with SetVersion).  maxPayload bounds per-frame
+// allocation; values <= 0 select DefaultMaxPayload.
 func NewDecoder(r io.Reader, maxPayload int) *Decoder {
 	max := uint32(DefaultMaxPayload)
 	if maxPayload > 0 && maxPayload <= int(^uint32(0)) {
 		max = uint32(maxPayload)
 	}
-	return &Decoder{r: r, max: max, vmin: ProtocolV1, vmax: MaxProtocolVersion}
+	return &Decoder{r: r, max: max, vmin: ProtocolV1, vmax: ProtocolV2}
 }
 
 // SetVersion pins the decoder to exactly one accepted protocol version.
-// Sessions call it with ProtocolV1 before the handshake and with the
-// negotiated version after; any frame carrying another version is then a
-// protocol violation (ErrBadFrame) and the session disconnects.
+// Sessions call it with ProtocolV1 before the handshake and ProtocolV2
+// after; any frame carrying another version is then a protocol violation
+// (ErrBadFrame) and the session disconnects.
 func (d *Decoder) SetVersion(v uint8) { d.vmin, d.vmax = v, v }
 
 // SetMax renegotiates the decoder's per-frame payload bound mid-stream.
@@ -398,7 +377,7 @@ func (d *Decoder) next(reuse bool) (Frame, error) {
 	v := d.hdr[2]
 	if v < d.vmin || v > d.vmax {
 		if d.vmin == d.vmax {
-			return Frame{}, fmt.Errorf("%w: frame version %d, session negotiated %d", ErrBadFrame, v, d.vmin)
+			return Frame{}, fmt.Errorf("%w: frame version %d, session expects %d", ErrBadFrame, v, d.vmin)
 		}
 		return Frame{}, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, v)
 	}
@@ -431,44 +410,55 @@ func (d *Decoder) next(reuse bool) (Frame, error) {
 }
 
 // Unmarshal decodes a frame payload into v according to the frame's
-// protocol version: JSON for version 1 (unknown fields tolerated, for
-// forward compatibility within the version) and the binary grammar for
-// version 2 (v must be a pointer to the matching payload type).
+// protocol version: the binary grammar for version 2 (v must be a pointer
+// to the matching payload type), and JSON for the version-1 Hello exchange
+// (v must be *HelloReq, *HelloResp or *ErrorResp; unknown fields are
+// tolerated, so a future client's Hello still parses).
 func Unmarshal(f Frame, v any) error {
 	return UnmarshalInterned(f, v, nil)
 }
 
-// UnmarshalInterned is Unmarshal with a string interner for the version-2
+// UnmarshalInterned is Unmarshal with a string interner for the ingest
 // hot path: recurring strings (object IDs, attribute names) resolve to
 // previously allocated instances, so a steady-state update stream decodes
-// with zero allocations.  A nil Interner disables interning.
+// with zero allocations.  A nil Interner disables interning.  A version-2
+// decode overwrites every field of v, so one struct may be reused across
+// frames (TestBinaryDecodeIntoReusedStruct).
 func UnmarshalInterned(f Frame, v any, in Interner) error {
+	if f.Version == ProtocolV1 && !isHandshake(v) {
+		return fmt.Errorf("%w: %s payload: version 1 carries only the Hello exchange, not %T", ErrBadFrame, f.Op, v)
+	}
 	if len(f.Payload) == 0 {
+		// The empty payload is the all-zero-value payload (PROTOCOL.md R6),
+		// also when v is a struct reused from an earlier decode.
+		if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {
+			rv.Elem().SetZero()
+		}
 		return nil
 	}
-	if f.Version == ProtocolV2 {
-		bd, ok := v.(binaryPayload)
-		if !ok {
-			return fmt.Errorf("%w: %s payload: %T has no v2 binary form", ErrBadFrame, f.Op, v)
-		}
-		// The reader is pooled: passing &r through the interface method
-		// would force a heap allocation per decode otherwise.
-		r := binReaderPool.Get().(*binReader)
-		*r = binReader{data: f.Payload, in: in}
-		err := bd.decodeBinary(r)
-		off, n := r.off, len(r.data)
-		r.data = nil
-		binReaderPool.Put(r)
-		if err != nil {
+	if f.Version == ProtocolV1 {
+		if err := json.Unmarshal(f.Payload, v); err != nil {
 			return fmt.Errorf("%w: %s payload: %v", ErrBadFrame, f.Op, err)
 		}
-		if off != n {
-			return fmt.Errorf("%w: %s payload: %d trailing bytes", ErrBadFrame, f.Op, n-off)
-		}
 		return nil
 	}
-	if err := json.Unmarshal(f.Payload, v); err != nil {
+	bd, ok := v.(binaryPayload)
+	if !ok {
+		return fmt.Errorf("%w: %s payload: %T has no v2 binary form", ErrBadFrame, f.Op, v)
+	}
+	// The reader is pooled: passing &r through the interface method
+	// would force a heap allocation per decode otherwise.
+	r := binReaderPool.Get().(*binReader)
+	*r = binReader{data: f.Payload, in: in}
+	err := bd.decodeBinary(r)
+	off, n := r.off, len(r.data)
+	r.data = nil
+	binReaderPool.Put(r)
+	if err != nil {
 		return fmt.Errorf("%w: %s payload: %v", ErrBadFrame, f.Op, err)
+	}
+	if off != n {
+		return fmt.Errorf("%w: %s payload: %d trailing bytes", ErrBadFrame, f.Op, n-off)
 	}
 	return nil
 }

@@ -75,7 +75,7 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// A decoder pinned to a negotiated version must reject frames carrying any
+// A decoder pinned to one version must reject frames carrying any
 // other version — the mid-session protocol-violation disconnect.
 func TestDecoderPinnedVersionRejectsOthers(t *testing.T) {
 	v1, err := AppendFrame(nil, Frame{Op: OpPing, ID: 1, Version: ProtocolV1})
@@ -134,8 +134,8 @@ func TestDecoderPayloadBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecoder(bytes.NewReader(buf), 1024)
-	if _, err := d.Next(); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("got %v, want ErrTooLarge", err)
+	if _, err := d.Next(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }
 

@@ -477,7 +477,7 @@ type Client = client.Client
 type ClientSubscription = client.Subscription
 
 // ClientOption configures Dial (WithTimeout, WithClientID, WithRetries,
-// WithProtocol, ...).
+// WithBackoff, ...).
 type ClientOption = client.Option
 
 // WithTimeout bounds each round trip, including retries.
@@ -490,12 +490,6 @@ func WithRetries(n int) ClientOption { return client.WithRetries(n) }
 // idempotence cache; stable IDs give retried mutations exactly-once
 // application across reconnects.
 func WithClientID(id string) ClientOption { return client.WithClientID(id) }
-
-// WithProtocol caps the wire protocol version the client offers during the
-// Hello handshake (1 = JSON payloads, 2 = binary).  The session runs at
-// min(client, server); by default clients offer the newest version they
-// implement.  See PROTOCOL.md for the negotiation rules.
-func WithProtocol(v int) ClientOption { return client.WithProtocol(v) }
 
 // WithBackoff sets the client's retry/reconnect backoff schedule: delays
 // double from base up to max, with ±25% jitter to desynchronize fleets.
