@@ -4,13 +4,13 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench parallel delta faults chaos chaosbench fuzzwal fuzzftl fuzzwire cover obs server city cityquick citycheck racequery cluster clusterquick
+.PHONY: check fmt vet build perfbench test race bench parallel delta faults chaos chaosbench fuzzwal fuzzftl fuzzwire cover obs server city cityquick citycheck racequery cluster clusterquick
 
 # Checked-in coverage floor for `make cover`: total statement coverage under
 # the race detector must not fall below this.
 COVER_FLOOR := 78.0
 
-check: fmt vet build test citycheck racequery cityquick cluster clusterquick
+check: fmt vet build perfbench test citycheck racequery cityquick cluster clusterquick
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -21,6 +21,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench is a module of its own, so the root `go build ./...` and
+# `go test ./...` never compile it: vet and build it here so a wire or
+# client API change cannot silently break the benchmark.  The binary is
+# discarded (-o /dev/null) so the check leaves nothing in perfbench/.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

@@ -9,8 +9,8 @@
 //     in-process most.Database that applied exactly the acknowledged
 //     operations — via SnapshotJSON comparison.
 //   - Mutations apply exactly once across crash/retry races (the database
-//     version, which counts every mutation, matches the oracle's when no
-//     checkpoint reset it).
+//     version, which counts every mutation and survives checkpointed
+//     restarts, matches the oracle's).
 //   - Subscription notification streams are gap-free and duplicate-free
 //     across server restarts and reconnects: sequence numbers only
 //     increase, consecutive deliveries always differ, and every stream
@@ -412,11 +412,9 @@ func (h *Harness) RunPhase(disrupt func() error) error {
 }
 
 // Verify proves the run was invisible: server state bit-identical to the
-// oracle, every subscription stream clean and converged to ground truth.
-// checkVersion additionally asserts the mutation count matches — valid
-// only when no checkpoint ran, since restoring from a checkpoint resets
-// the version counter.
-func (h *Harness) Verify(checkVersion bool) error {
+// oracle, the mutation count equal to the oracle's, and every
+// subscription stream clean and converged to ground truth.
+func (h *Harness) Verify() error {
 	theirs, err := h.clients[0].SnapshotSave()
 	if err != nil {
 		return fmt.Errorf("chaos: snapshot: %w", err)
@@ -428,20 +426,18 @@ func (h *Harness) Verify(checkVersion bool) error {
 	if string(theirs) != string(ours) {
 		return fmt.Errorf("chaos: committed state diverged from oracle (server %d bytes, oracle %d bytes)", len(theirs), len(ours))
 	}
-	if checkVersion {
-		// One more probed mutation on each side exposes the version
-		// counter: equal counts = every acknowledged mutation applied
-		// exactly once, no duplicate slipped in through a crash retry.
-		n := h.probes
-		h.probes++
-		resp, err := h.clients[0].UpdateBatch(h.probeOps(0, n))
-		if err != nil {
-			return err
-		}
-		h.applyOracle(h.probeOps(0, n))
-		if want := h.oracle.Version(); resp.Version != want {
-			return fmt.Errorf("chaos: exactly-once violated: server version %d, oracle %d", resp.Version, want)
-		}
+	// One more probed mutation on each side exposes the version counter:
+	// equal counts = every acknowledged mutation applied exactly once, no
+	// duplicate slipped in through a crash retry.
+	n := h.probes
+	h.probes++
+	resp, err := h.clients[0].UpdateBatch(h.probeOps(0, n))
+	if err != nil {
+		return err
+	}
+	h.applyOracle(h.probeOps(0, n))
+	if want := h.oracle.Version(); resp.Version != want {
+		return fmt.Errorf("chaos: exactly-once violated: server version %d, oracle %d", resp.Version, want)
 	}
 
 	// Ground truth for the streams: the rows a fresh subscription's

@@ -36,7 +36,7 @@ func KillRestart(dir string, seed int64) (Result, error) {
 	if err := h.RunPhase(nil); err != nil {
 		return h.Result(), err
 	}
-	if err := h.Verify(true); err != nil {
+	if err := h.Verify(); err != nil {
 		return h.Result(), err
 	}
 	return h.Result(), nil
@@ -84,7 +84,7 @@ func Partition(dir string, seed int64) (Result, error) {
 	}); err != nil {
 		return h.Result(), err
 	}
-	if err := h.Verify(true); err != nil {
+	if err := h.Verify(); err != nil {
 		return h.Result(), err
 	}
 	return h.Result(), nil
@@ -94,9 +94,7 @@ func Partition(dir string, seed int64) (Result, error) {
 // checkpoints, an explicit one, two kill/restart cycles, and finally a
 // clean drain followed by one more recovery — proving the checkpoint
 // fast path, the checkpoint+log mixed path, and the clean-shutdown path
-// all reproduce the same oracle state.  (Checkpoint restore resets the
-// internal version counter, so Churn verifies state identity without the
-// version probe.)
+// all reproduce the same oracle state and commit version.
 func Churn(dir string, seed int64) (Result, error) {
 	cfg := DefaultConfig(dir, seed)
 	cfg.CheckpointEvery = 5
@@ -126,7 +124,7 @@ func Churn(dir string, seed int64) (Result, error) {
 	}); err != nil {
 		return h.Result(), err
 	}
-	if err := h.Verify(false); err != nil {
+	if err := h.Verify(); err != nil {
 		return h.Result(), err
 	}
 
@@ -138,7 +136,7 @@ func Churn(dir string, seed int64) (Result, error) {
 	if err := h.Restart(); err != nil {
 		return h.Result(), err
 	}
-	if err := h.Verify(false); err != nil {
+	if err := h.Verify(); err != nil {
 		return h.Result(), err
 	}
 	return h.Result(), nil

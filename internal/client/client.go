@@ -34,10 +34,12 @@
 // # Subscriptions
 //
 // Subscribe registers a continuous query and returns a Subscription
-// mirroring the in-process query.Continuous handle: the server pushes the
-// full materialized Answer(CQ) after every maintenance round, the handle
-// stores the newest answer, and presentation at a tick is a local lookup
-// (wire.RowsAt) — no round trip per tick, the paper's continuous-query
+// mirroring the in-process query.Continuous handle.  After every
+// maintenance round the server pushes the new Answer(CQ) as a delta against
+// the answer the handle holds, or in full when that is no larger.  The
+// handle applies it copy-on-write and stores the newest answer, and
+// presentation at a tick is a local lookup (wire.RowsAt) — no round trip
+// per tick, the paper's continuous-query
 // contract preserved across the network boundary.  A subscription survives
 // its connection: when the transport fails, the client parks it, heals the
 // connection in the background, and transparently re-registers the query,
@@ -196,10 +198,10 @@ type Client struct {
 	epoch   uint64 // session epoch, incremented per connection attempt
 	nextID  uint64
 	nextKey uint64 // client-side subscription keys (stable across resumes)
-	pending map[uint64]chan wire.Frame
+	pending map[uint64]pendingCall
 	subs    map[uint64]*Subscription // by current server subscription ID
 	parked  map[uint64]*Subscription // by key: awaiting resume after a teardown
-	orphans map[uint64]wire.Notify   // notifies that beat their SubscribeResp
+	joining map[uint64]*Subscription // by key: initial Subscribe in flight
 	resumed bool                     // last Hello's Resumed flag
 	healing bool
 	closed  bool
@@ -216,10 +218,10 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		backoff:     50 * time.Millisecond,
 		maxBackoff:  2 * time.Second,
 		maxPayload:  wire.DefaultMaxPayload,
-		pending:     map[uint64]chan wire.Frame{},
+		pending:     map[uint64]pendingCall{},
 		subs:        map[uint64]*Subscription{},
 		parked:      map[uint64]*Subscription{},
-		orphans:     map[uint64]wire.Notify{},
+		joining:     map[uint64]*Subscription{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -359,6 +361,15 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return d - d/4 + j
 }
 
+// pendingCall is one request awaiting its response.  bind, when set, runs
+// on the read loop, under c.mu, with a successful response before the loop
+// reads the next frame — how a subscription is registered before the first
+// notify for it can be routed.
+type pendingCall struct {
+	ch   chan wire.Frame
+	bind func(wire.Frame)
+}
+
 func (c *Client) reserveIDLocked() uint64 {
 	c.nextID++
 	return c.nextID
@@ -388,65 +399,75 @@ func (c *Client) writeFrame(conn net.Conn, f wire.Frame) error {
 
 // readLoop demultiplexes inbound frames for one connection generation.
 // The decoder is pinned to version 2: a frame at any other version is a
-// protocol violation that tears the connection down.
+// protocol violation that tears the connection down.  Frames are routed
+// under c.mu and only while the connection is current, so nothing a
+// torn-down connection still delivers can reach a call or registration
+// made since.
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
 	dec := wire.NewDecoder(conn, c.maxPayload)
 	dec.SetVersion(wire.ProtocolV2)
 	for {
 		f, err := dec.Next()
-		if err != nil {
-			c.mu.Lock()
-			if c.gen == gen {
-				c.teardownConnLocked(conn, err)
-			}
+		var n wire.Notify
+		if err == nil && f.Op == wire.OpNotify {
+			err = wire.Unmarshal(f, &n)
+		}
+		c.mu.Lock()
+		if c.gen != gen {
 			c.mu.Unlock()
 			return
 		}
-		switch f.Op {
-		case wire.OpNotify:
-			var n wire.Notify
-			if wire.Unmarshal(f, &n) != nil {
-				continue
-			}
-			c.mu.Lock()
-			sub, ok := c.subs[n.SubID]
-			if !ok {
-				if len(c.orphans) < 64 {
-					c.orphans[n.SubID] = n
-				}
-			}
-			c.mu.Unlock()
-			if ok {
-				sub.deliver(n)
-			}
-		case wire.OpSubClosed:
-			var sc wire.SubClosed
-			if wire.Unmarshal(f, &sc) != nil {
-				continue
-			}
-			c.mu.Lock()
-			sub, ok := c.subs[sc.SubID]
-			delete(c.subs, sc.SubID)
-			c.mu.Unlock()
-			if ok {
-				reason := sc.Reason
-				if reason == "" {
-					reason = "server closed subscription"
-				}
-				sub.fail(fmt.Errorf("%w: %s", ErrSubClosed, reason))
-			}
-		default:
-			c.mu.Lock()
-			ch, ok := c.pending[f.ID]
-			if ok {
-				delete(c.pending, f.ID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- f
-			}
+		if err == nil {
+			err = c.routeLocked(f, &n)
+		}
+		if err != nil {
+			c.teardownConnLocked(conn, err)
+		}
+		c.mu.Unlock()
+		if err != nil {
+			return
 		}
 	}
+}
+
+// routeLocked hands one inbound frame to its subscription or call; n is
+// the decoded payload of a notify.  A notify the subscription cannot apply
+// is an error: it breaks the answer chain, so the caller drops the
+// connection and the resume re-registers every subscription with a full
+// answer.  Callers hold c.mu.
+func (c *Client) routeLocked(f wire.Frame, n *wire.Notify) error {
+	switch f.Op {
+	case wire.OpNotify:
+		if sub := c.subs[n.SubID]; sub != nil {
+			if err := sub.deliver(*n); err != nil {
+				return fmt.Errorf("client: bad notify: %w", err)
+			}
+		}
+	case wire.OpSubClosed:
+		var sc wire.SubClosed
+		if wire.Unmarshal(f, &sc) != nil {
+			return nil
+		}
+		if sub, ok := c.subs[sc.SubID]; ok {
+			delete(c.subs, sc.SubID)
+			reason := sc.Reason
+			if reason == "" {
+				reason = "server closed subscription"
+			}
+			sub.fail(fmt.Errorf("%w: %s", ErrSubClosed, reason))
+		}
+	default:
+		p, ok := c.pending[f.ID]
+		if !ok {
+			return nil
+		}
+		delete(c.pending, f.ID)
+		if p.bind != nil && f.Op == wire.OpResult {
+			p.bind(f)
+		}
+		p.ch <- f
+	}
+	return nil
 }
 
 // teardownConnLocked unwinds a broken connection: in-flight calls fail
@@ -458,13 +479,12 @@ func (c *Client) teardownConnLocked(conn net.Conn, cause error) {
 	if c.conn == conn {
 		c.conn = nil
 	}
-	for id, ch := range c.pending {
-		close(ch)
+	for id, p := range c.pending {
+		close(p.ch)
 		delete(c.pending, id)
 	}
 	subs := c.subs
 	c.subs = map[uint64]*Subscription{}
-	c.orphans = map[uint64]wire.Notify{}
 	if c.closed {
 		for _, sub := range subs {
 			go sub.fail(fmt.Errorf("%w: %v", ErrConnLost, cause))
@@ -551,12 +571,11 @@ func (c *Client) drainParkedLocked() []*Subscription {
 }
 
 // resubscribe re-registers one parked subscription on the healed
-// connection and reconciles its answer stream.  It returns false when the
-// attempt should be retried after backoff (transport failure), true when
-// the subscription was resumed, permanently rejected, or withdrawn.
+// connection; subscribe reconciles its answer stream.  It returns false when
+// the attempt should be retried after backoff (transport failure), true
+// when the subscription was resumed, permanently rejected, or withdrawn.
 func (c *Client) resubscribe(sub *Subscription) bool {
-	var resp wire.SubscribeResp
-	err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: sub.src, Horizon: sub.horizon}, &resp)
+	_, err := c.subscribe(sub)
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
@@ -570,32 +589,62 @@ func (c *Client) resubscribe(sub *Subscription) bool {
 		}
 		return false
 	}
-	c.mu.Lock()
-	if _, still := c.parked[sub.key]; !still || c.closed {
-		// Closed while the registration was in flight: withdraw it.
-		c.mu.Unlock()
-		_ = c.call(wire.OpUnsubscribe, &wire.UnsubscribeReq{SubID: resp.SubID}, nil)
-		return true
-	}
-	delete(c.parked, sub.key)
-	sub.subID = resp.SubID
-	c.subs[resp.SubID] = sub
-	orphan, hadOrphan := c.orphans[resp.SubID]
-	delete(c.orphans, resp.SubID)
-	c.mu.Unlock()
-	if rows, changed := sub.resumeReconcile(resp.Answer); changed {
-		c.resumeGapRows.Add(int64(rows))
-	}
-	if hadOrphan {
-		sub.deliver(orphan)
-	}
 	return true
+}
+
+// subscribe sends sub's query and binds the response on the read loop:
+// the subscription is registered under its new server ID, and its answer
+// installed, before any notify for it is routed.  A joining subscription
+// takes the answer as its initial one; a parked one reconciles it against
+// the answer it held (resumeReconcile).  A response for a subscription no
+// longer wanted — closed while the request was in flight — is withdrawn.
+// It reports whether the response registered sub.
+func (c *Client) subscribe(sub *Subscription) (bool, error) {
+	var bound bool
+	var bindErr error
+	err := c.callBind(wire.OpSubscribe, &wire.SubscribeReq{Src: sub.src, Horizon: sub.horizon}, nil, func(f wire.Frame) {
+		var resp wire.SubscribeResp
+		if bindErr = wire.Unmarshal(f, &resp); bindErr != nil {
+			return
+		}
+		_, joining := c.joining[sub.key]
+		_, parked := c.parked[sub.key]
+		bound = !c.closed && (joining || parked)
+		delete(c.joining, sub.key)
+		delete(c.parked, sub.key)
+		if bound {
+			sub.subID = resp.SubID
+			c.subs[resp.SubID] = sub
+		}
+		switch {
+		case !bound:
+			go c.call(wire.OpUnsubscribe, &wire.UnsubscribeReq{SubID: resp.SubID}, nil)
+		case joining:
+			sub.mu.Lock()
+			sub.answer = resp.Answer
+			sub.mu.Unlock()
+		default:
+			if rows, changed := sub.resumeReconcile(resp.Answer); changed {
+				c.resumeGapRows.Add(int64(rows))
+			}
+		}
+	})
+	if err == nil {
+		err = bindErr
+	}
+	return bound, err
 }
 
 // call executes one request, retransmitting on transport errors under the
 // same request ID so the server's idempotence cache can suppress double
 // application.
 func (c *Client) call(op wire.Opcode, payload, out any) error {
+	return c.callBind(op, payload, out, nil)
+}
+
+// callBind is call with a read-loop hook for the success response (see
+// pendingCall).
+func (c *Client) callBind(op wire.Opcode, payload, out any, bind func(wire.Frame)) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -609,7 +658,7 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 		if attempt > 0 {
 			time.Sleep(c.backoffDelay(attempt))
 		}
-		resp, err := c.roundTrip(op, id, payload)
+		resp, err := c.roundTrip(op, id, payload, bind)
 		if err == nil {
 			if resp.Op == wire.OpError {
 				var e wire.ErrorResp
@@ -639,7 +688,7 @@ func (c *Client) call(op wire.Opcode, payload, out any) error {
 
 // roundTrip encodes one request (dialing if needed) and waits for its
 // response.
-func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any) (wire.Frame, error) {
+func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any, bind func(wire.Frame)) (wire.Frame, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -653,7 +702,7 @@ func (c *Client) roundTrip(op wire.Opcode, id uint64, payload any) (wire.Frame, 
 	}
 	conn := c.conn
 	ch := make(chan wire.Frame, 1)
-	c.pending[id] = ch
+	c.pending[id] = pendingCall{ch: ch, bind: bind}
 	c.mu.Unlock()
 
 	req, err := wire.EncodeFrame(wire.ProtocolV2, op, id, payload)
@@ -812,6 +861,7 @@ type Subscription struct {
 	answer []wire.AnswerRow
 	seq    uint64 // effective sequence, monotonic across resumes
 	base   uint64 // offset added to server sequence numbers after a resume
+	srvSeq uint64 // server sequence of answer on the current registration
 	err    error
 
 	updates chan struct{} // capacity-1 change signal
@@ -821,48 +871,63 @@ type Subscription struct {
 
 // Subscribe registers src as a continuous query on the server.
 func (c *Client) Subscribe(src string, horizon temporal.Tick) (*Subscription, error) {
-	var resp wire.SubscribeResp
-	if err := c.call(wire.OpSubscribe, &wire.SubscribeReq{Src: src, Horizon: horizon}, &resp); err != nil {
-		return nil, err
-	}
 	sub := &Subscription{
 		c:       c,
-		subID:   resp.SubID,
 		src:     src,
 		horizon: horizon,
-		answer:  resp.Answer,
 		updates: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	c.mu.Lock()
-	orphan, hadOrphan := c.orphans[resp.SubID]
-	delete(c.orphans, resp.SubID)
-	if c.conn == nil || c.closed {
+	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrConnLost
+		return nil, ErrClosed
 	}
 	c.nextKey++
 	sub.key = c.nextKey
-	c.subs[resp.SubID] = sub
+	c.joining[sub.key] = sub
 	c.mu.Unlock()
-	if hadOrphan {
-		sub.deliver(orphan)
+	bound, err := c.subscribe(sub)
+	if err == nil && !bound {
+		err = ErrClosed
+	}
+	if err != nil {
+		// Withdraw whatever registration the request made (a response can
+		// still bind after a timeout gave up on it).
+		sub.Close()
+		return nil, err
 	}
 	return sub, nil
 }
 
 // deliver installs a notification (monotonic in effective sequence: the
-// server's per-registration sequence shifted by the resume base).
-func (s *Subscription) deliver(n wire.Notify) {
+// server's per-registration sequence shifted by the resume base).  A delta
+// notify is applied copy-on-write to the answer held at its base sequence;
+// one whose base is not the held answer, or that does not fit it, is an
+// error — the caller drops the connection so the resume resynchronizes.
+func (s *Subscription) deliver(n wire.Notify) error {
 	s.mu.Lock()
+	if d := n.Delta; d != nil {
+		if d.BaseSeq != s.srvSeq {
+			s.mu.Unlock()
+			return fmt.Errorf("subscription %d: delta against answer %d, client holds %d", n.SubID, d.BaseSeq, s.srvSeq)
+		}
+		ans, err := wire.ApplyDelta(s.answer, &n)
+		if err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		n.Answer = ans
+	}
 	if eff := s.base + n.Seq; eff > s.seq {
-		s.answer, s.seq = n.Answer, eff
+		s.answer, s.seq, s.srvSeq = n.Answer, eff, n.Seq
 	}
 	s.mu.Unlock()
 	select {
 	case s.updates <- struct{}{}:
 	default:
 	}
+	return nil
 }
 
 // resumeReconcile folds the answer returned by a re-registration into the
@@ -873,10 +938,13 @@ func (s *Subscription) deliver(n wire.Notify) {
 // It reports the number of rows installed and whether anything changed.
 func (s *Subscription) resumeReconcile(answer []wire.AnswerRow) (int, bool) {
 	s.mu.Lock()
+	// The fresh registration restarts the server-side sequence at zero,
+	// and its deltas apply to exactly the rows it answered with: hold
+	// those, and rebase so its next notification lands at s.seq+1.
+	s.srvSeq = 0
 	if wire.CanonicalAnswers(answer) == wire.CanonicalAnswers(s.answer) {
-		// The fresh registration restarts the server-side sequence at
-		// zero; rebase so its next notification lands at s.seq+1.
 		s.base = s.seq
+		s.answer = answer
 		s.mu.Unlock()
 		return 0, false
 	}
@@ -936,13 +1004,17 @@ func (s *Subscription) Err() error {
 // Close cancels the subscription on the server and ends the handle.
 func (s *Subscription) Close() error {
 	s.c.mu.Lock()
-	_, live := s.c.subs[s.subID]
-	delete(s.c.subs, s.subID)
+	id := s.subID
+	live := s.c.subs[id] == s
+	if live {
+		delete(s.c.subs, id)
+	}
 	delete(s.c.parked, s.key)
+	delete(s.c.joining, s.key)
 	s.c.mu.Unlock()
 	s.fail(errors.New("client: subscription closed"))
 	if !live {
 		return nil
 	}
-	return s.c.call(wire.OpUnsubscribe, &wire.UnsubscribeReq{SubID: s.subID}, nil)
+	return s.c.call(wire.OpUnsubscribe, &wire.UnsubscribeReq{SubID: id}, nil)
 }

@@ -664,30 +664,25 @@ func (m *MergedSub) watch(i int) {
 	}
 }
 
-// recompute rebuilds the union of the per-node answers; a change bumps
-// the merged sequence number and signals Updates.
+// recompute rebuilds the merged answer from the per-node answers; a
+// change bumps the merged sequence number and signals Updates.  The node
+// watchers recompute concurrently, so the whole read-merge-install runs
+// under m.mu: otherwise a watcher that read older node answers could
+// install its merge over a newer one, and the merged answer would stay
+// stale until some node changed again.
 func (m *MergedSub) recompute() {
-	merged := map[string]wire.AnswerRow{}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	answers := make([][]wire.AnswerRow, 0, len(m.subs))
 	for _, sub := range m.subs {
 		ans, _, err := sub.Answer()
 		if err != nil {
 			continue // the watcher surfaces the failure
 		}
-		for _, row := range ans {
-			merged[wire.CanonicalAnswers([]wire.AnswerRow{row})] = row
-		}
+		answers = append(answers, ans)
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]wire.AnswerRow, len(keys))
-	for i, k := range keys {
-		rows[i] = merged[k]
-	}
+	rows := mergeAnswers(answers)
 	canon := wire.CanonicalAnswers(rows)
-	m.mu.Lock()
 	if canon != m.canon {
 		m.canon = canon
 		m.answer = rows
@@ -697,7 +692,38 @@ func (m *MergedSub) recompute() {
 		default:
 		}
 	}
-	m.mu.Unlock()
+}
+
+// mergeAnswers unions per-node answers in the relation's canonical form:
+// per instantiation, every node's intervals coalesced into maximal ones,
+// ordered by instantiation then interval.  A replicated-class row that two
+// nodes hold with different intervals — a restarted node re-anchored its
+// evaluation, a survivor did not — is one instantiation, not two rows.
+func mergeAnswers(answers [][]wire.AnswerRow) []wire.AnswerRow {
+	type inst struct {
+		vals []wire.Value
+		ivs  []temporal.Interval
+	}
+	merged := map[string]*inst{}
+	for _, ans := range answers {
+		for _, row := range ans {
+			k := rowKey(row.Vals)
+			in := merged[k]
+			if in == nil {
+				in = &inst{vals: row.Vals}
+				merged[k] = in
+			}
+			in.ivs = append(in.ivs, temporal.Interval{Start: row.Start, End: row.End})
+		}
+	}
+	var rows []wire.AnswerRow
+	for _, k := range sortedKeys(merged) {
+		in := merged[k]
+		for _, iv := range temporal.NewSet(in.ivs...).Intervals() {
+			rows = append(rows, wire.AnswerRow{Vals: in.vals, Start: iv.Start, End: iv.End})
+		}
+	}
+	return rows
 }
 
 func (m *MergedSub) fail(err error) {

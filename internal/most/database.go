@@ -117,6 +117,7 @@ type Database struct {
 
 	logMu     sync.Mutex
 	log       []Update
+	logBase   uint64 // commits before log's first entry (a checkpoint restore)
 	listeners []Listener
 
 	// wal, when attached, receives every class definition, clock advance,
@@ -413,12 +414,13 @@ func (db *Database) Count() int {
 }
 
 // Version returns the number of committed explicit updates.  It increases
-// monotonically; continuous/persistent maintenance uses it to discard stale
-// reevaluation results under concurrent updates.
+// monotonically, across checkpointed restarts too (a checkpoint records it);
+// continuous/persistent maintenance uses it to discard stale reevaluation
+// results under concurrent updates.
 func (db *Database) Version() uint64 {
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
-	return uint64(len(db.log))
+	return db.logBase + uint64(len(db.log))
 }
 
 // SetStatic explicitly updates a static attribute at the current time.

@@ -21,6 +21,9 @@ type snapshotDTO struct {
 	Now     temporal.Tick `json:"now"`
 	Classes []classDTO    `json:"classes"`
 	Objects []objectDTO   `json:"objects"`
+	// Version is the commit version a checkpoint was taken at; SnapshotJSON
+	// leaves it out.
+	Version uint64 `json:"version,omitempty"`
 }
 
 type classDTO struct {
@@ -235,7 +238,8 @@ func DecodeObjectJSON(db *Database, data []byte) (*Object, error) {
 
 // LoadSnapshotJSON rebuilds a database from a snapshot.  The restored
 // database starts a fresh history: its log begins with the snapshot's
-// objects inserted at the snapshot clock.
+// objects inserted at the snapshot clock.  A checkpoint's commit version
+// carries over, so Version continues from it rather than restarting.
 func LoadSnapshotJSON(data []byte) (*Database, error) {
 	var dto snapshotDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -260,6 +264,9 @@ func LoadSnapshotJSON(data []byte) (*Database, error) {
 		if err := db.Insert(o); err != nil {
 			return nil, err
 		}
+	}
+	if n := uint64(len(db.log)); dto.Version > n {
+		db.logBase = dto.Version - n
 	}
 	return db, nil
 }

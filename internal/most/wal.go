@@ -481,7 +481,9 @@ func (db *Database) Checkpoint(snapPath string) error {
 	defer db.unlockAllRead()
 	db.metaMu.RLock()
 	defer db.metaMu.RUnlock()
-	data, err := json.MarshalIndent(db.snapshotDTOLocked(), "", "  ")
+	dto := db.snapshotDTOLocked()
+	dto.Version = db.Version()
+	data, err := json.MarshalIndent(dto, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -225,9 +225,8 @@ func TestDurableCheckpointSidecarSurvivesRestart(t *testing.T) {
 		t.Fatal("sidecar receipts lost across checkpoint+crash")
 	}
 
-	// Restoring a checkpoint restarts the version counter, so sandwich the
-	// replay between two fresh probes: if the retry had re-executed, the
-	// second probe would land two versions past the first.
+	// Sandwich the replay between two fresh probes: if the retry had
+	// re-executed, the second probe would land two versions past the first.
 	r2, _ := mustHello(t, addr, "alice", 2)
 	probeA := r2.update(2, []wire.UpdateOp{motionOp(1, 1, 0)})
 	replay := r2.update(1, []wire.UpdateOp{motionOp(0, 5, 5)})
@@ -237,6 +236,35 @@ func TestDurableCheckpointSidecarSurvivesRestart(t *testing.T) {
 	probeB := r2.update(3, []wire.UpdateOp{motionOp(2, 1, 0)})
 	if probeB.Version != probeA.Version+1 {
 		t.Fatalf("replay applied %d mutations, want 0", probeB.Version-probeA.Version-1)
+	}
+}
+
+// The commit version survives a checkpointed restart: a clean shutdown
+// checkpoints, recovery restores the version from the checkpoint alone
+// (the truncated WAL replays nothing), and the next update answers a
+// version above every one answered before.
+func TestDurableVersionSurvivesCheckpointRestart(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := startDurable(t, dir, "", Config{})
+	addr := srv.Addr().String()
+	r1, _ := mustHello(t, addr, "alice", 1)
+	first := r1.update(1, []wire.UpdateOp{motionOp(0, 5, 5)})
+	r1.c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, info := startDurable(t, dir, addr, Config{})
+	defer srv2.Abort()
+	if info.Fresh || info.Report == nil || info.Report.Records != 0 {
+		t.Fatalf("restart did not recover from the checkpoint alone: %+v", info)
+	}
+	r2, _ := mustHello(t, addr, "alice", 2)
+	second := r2.update(2, []wire.UpdateOp{motionOp(1, 1, 0)})
+	if second.Version <= first.Version {
+		t.Fatalf("version %d after the restart, not above %d before it", second.Version, first.Version)
 	}
 }
 

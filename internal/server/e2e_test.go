@@ -30,6 +30,7 @@ func TestServerBackpressureE2E(t *testing.T) {
 		nVehicles   = 120
 		writers     = 8
 		subscribers = 4
+		stalledSubs = 16
 		budget      = 400 * time.Millisecond
 	)
 	reg := obs.New()
@@ -39,11 +40,10 @@ func TestServerBackpressureE2E(t *testing.T) {
 		OutQueue:    8,
 		BaseOptions: query.Options{
 			Horizon: 50,
-			// The region covers the whole fleet so every push carries the
-			// full 120-row answer: fat enough to jam a non-reading peer's
-			// socket quickly, while delta maintenance keeps the per-update
-			// apply cost tiny (the single-variable query patches only the
-			// moved object).
+			// The region covers the whole fleet so every update changes
+			// the 120-row answer, while delta maintenance keeps the
+			// per-update apply cost tiny (the single-variable query
+			// patches only the moved object).
 			Regions: map[string]geom.Polygon{"P": geom.RectPolygon(0, 0, 100, 100)},
 		},
 	})
@@ -69,7 +69,10 @@ func TestServerBackpressureE2E(t *testing.T) {
 	}
 
 	// The stalled subscriber: handshake and subscribe by hand, then stop
-	// reading forever.  A tiny receive buffer closes the TCP window fast.
+	// reading forever.  A tiny receive buffer closes the TCP window fast,
+	// and stalledSubs registrations multiply the pushes per update: delta
+	// notifies carry only the changed rows, so one registration alone
+	// would take far longer to fill the socket.
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +98,9 @@ func TestServerBackpressureE2E(t *testing.T) {
 		return resp
 	}
 	mustCall(wire.ProtocolV1, wire.OpHello, 1, &wire.HelloReq{ClientID: "stalled", MaxVersion: wire.ProtocolV2})
-	mustCall(wire.ProtocolV2, wire.OpSubscribe, 2, &wire.SubscribeReq{Src: subSrc, Horizon: 50})
+	for i := 0; i < stalledSubs; i++ {
+		mustCall(wire.ProtocolV2, wire.OpSubscribe, uint64(2+i), &wire.SubscribeReq{Src: subSrc, Horizon: 50})
+	}
 	stallStart := time.Now()
 
 	// Pipelining writers: each client fires batched motion updates as fast

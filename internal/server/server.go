@@ -562,6 +562,10 @@ type metrics struct {
 	notifyCoalesced    *obs.Counter
 	convHits           *obs.Counter
 	convMisses         *obs.Counter
+	notifyFull         *obs.Counter
+	notifyDelta        *obs.Counter
+	notifyRowsSent     *obs.Counter
+	notifyBytes        *obs.Counter
 	dedupHits          *obs.Counter
 	shedRequests       *obs.Counter
 	checkpoints        *obs.Counter
@@ -588,6 +592,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 		notifyCoalesced:    reg.Counter("server.notifies_coalesced"),
 		convHits:           reg.Counter("server.conv_hits"),
 		convMisses:         reg.Counter("server.conv_misses"),
+		notifyFull:         reg.Counter("server.notify_full"),
+		notifyDelta:        reg.Counter("server.notify_delta"),
+		notifyRowsSent:     reg.Counter("server.notify_rows_sent"),
+		notifyBytes:        reg.Counter("server.notify_bytes"),
 		dedupHits:          reg.Counter("server.dedup_hits"),
 		shedRequests:       reg.Counter("server.shed_requests"),
 		checkpoints:        reg.Counter("server.checkpoints"),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -214,6 +215,86 @@ func TestServerSubscription(t *testing.T) {
 	}
 	if srv.m.subscriptions.Value() != 0 {
 		t.Fatalf("subscriptions gauge = %d after close", srv.m.subscriptions.Value())
+	}
+}
+
+// Notifies after the first carry deltas the client rebuilds bit for bit:
+// a late subscriber on the same plan, answered in full, holds exactly the
+// bytes the delta-fed subscriber rebuilt.  The notify counters live under
+// their documented names and account for every notify sent.
+func TestServerDeltaNotifies(t *testing.T) {
+	reg := obs.New()
+	_, addr := startTestServer(t, 6, Config{Reg: reg})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const src = `RETRIEVE o FROM Vehicles o WHERE Eventually INSIDE(o, P)`
+	sub, err := c.Subscribe(src, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each parked insert inside P adds one row to an answer that already
+	// holds one: a delta is smaller than the full answer from the second
+	// insert on, whatever the fleet contributes.
+	for i := 0; i < 3; i++ {
+		_, seq0, _ := sub.Answer()
+		if _, err := c.UpdateBatch([]wire.UpdateOp{parkedInsert(t, fmt.Sprintf("car-fresh-%d", i), 25+float64(i), 25)}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.After(5 * time.Second)
+		for {
+			_, seq, err := sub.Answer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq > seq0 {
+				break
+			}
+			select {
+			case <-sub.Updates():
+			case <-deadline:
+				t.Fatalf("no notify for insert %d", i)
+			}
+		}
+	}
+	late, err := c.Subscribe(src, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, _, _ := sub.Answer()
+	full, _, _ := late.Answer()
+	enc := func(rows []wire.AnswerRow) []byte {
+		f, err := wire.EncodeFrame(wire.ProtocolV2, wire.OpNotify, 0, &wire.Notify{Answer: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Payload
+	}
+	if !bytes.Equal(enc(rebuilt), enc(full)) {
+		t.Fatalf("delta-rebuilt answer differs from the full answer:\n %s\n %s",
+			wire.CanonicalAnswers(rebuilt), wire.CanonicalAnswers(full))
+	}
+
+	names := map[string]bool{}
+	for _, n := range reg.CounterNames() {
+		names[n] = true
+	}
+	for _, n := range []string{"server.notify_full", "server.notify_delta", "server.notify_rows_sent", "server.notify_bytes"} {
+		if !names[n] {
+			t.Fatalf("counter %s not registered", n)
+		}
+	}
+	snap := reg.Snapshot().Counters
+	if snap["server.notify_delta"] < 2 {
+		t.Fatalf("%d delta notifies, want at least 2", snap["server.notify_delta"])
+	}
+	if got, want := snap["server.notify_full"]+snap["server.notify_delta"], snap["server.notifies"]; got != want {
+		t.Fatalf("full+delta notifies = %d, notifies = %d", got, want)
+	}
+	if snap["server.notify_rows_sent"] < snap["server.notify_delta"] || snap["server.notify_bytes"] <= 0 {
+		t.Fatalf("rows sent %d, bytes %d", snap["server.notify_rows_sent"], snap["server.notify_bytes"])
 	}
 }
 

@@ -78,6 +78,10 @@ type session struct {
 	touched       []string
 	scanAll       bool
 
+	// Reader-goroutine-only: a subscription registered by the request in
+	// hand, whose pump handle starts after queuing the SubscribeResp.
+	newSub *serverSub
+
 	// Writer-goroutine-only frame serialization buffer.
 	wbuf []byte
 
@@ -323,6 +327,10 @@ func (s *session) handle(f wire.Frame) {
 		m.errors.Inc()
 	}
 	_ = s.enqueue(resp)
+	if sub := s.newSub; sub != nil {
+		s.newSub = nil
+		go s.pump(sub)
+	}
 }
 
 // deadlineExpired reports whether a request's per-attempt budget ran out
@@ -928,38 +936,93 @@ type serverSub struct {
 
 	// conv is the plan-wide conversion memo shared with every other
 	// subscription on the same engine plan: an install is converted to
-	// wire rows once per plan, not once per subscriber.
+	// wire rows, and diffed against the install before it, once per plan.
 	conv *planConv
+
+	// The answer the client holds — the last one sent, as the relation, its
+	// memoized (shared, immutable) wire rows and its sequence number (0 for
+	// the SubscribeResp answer).  Set by handleSubscribe before the pump
+	// starts, then owned by the pump.
+	sentRel  *eval.Relation
+	sentRows []wire.AnswerRow
+	sentSeq  uint64
 }
 
-// planConv memoizes the wire-row conversion of one shared plan's installed
+// planConv memoizes the wire form of one shared plan's installed
 // relations.  The engine shares one maintained plan across subscriptions
 // that canonicalize to the same planKey and installs each changed answer
 // as a fresh relation object (no-change rounds keep the old object), so
 // relation identity is a sound memo key: with N subscribers on one plan,
-// each install is converted once and all pumps encode the same rows.
+// each install is converted once, diffed against the install before it
+// once, and all pumps encode the same rows.
 type planConv struct {
 	refs int // guarded by Server.convMu
 
 	mu   sync.Mutex
 	rel  *eval.Relation
 	rows []wire.AnswerRow
+	size int // wire.RowsSize(rows)
+
+	// prevRel/prevRows is the install rel replaced; delta turns prevRows
+	// into rows (computed on first use, nil until then).
+	prevRel  *eval.Relation
+	prevRows []wire.AnswerRow
+	delta    *answerDelta
 }
 
-// rowsFor returns the wire rows of rel, converting only when rel is not
-// the memoized relation.  The returned slice is shared across pumps and
-// must be treated as immutable.
-func (pc *planConv) rowsFor(rel *eval.Relation, m *metrics) []wire.AnswerRow {
+// answerDelta is one computed answer delta: the positions (BaseSeq is per
+// subscription and filled in by the pump), the inserted rows, and the
+// encoded size of both.
+type answerDelta struct {
+	d    wire.Delta
+	ins  []wire.AnswerRow
+	size int
+}
+
+func newAnswerDelta(base, next []wire.AnswerRow) *answerDelta {
+	d, ins := wire.Diff(base, next)
+	return &answerDelta{d: d, ins: ins, size: wire.RowsSize(ins) + d.Size()}
+}
+
+// rowsFor returns the wire rows of rel and their encoded size, converting
+// only when rel is not the memoized relation.  The returned slice is shared
+// across pumps and must be treated as immutable.
+func (pc *planConv) rowsFor(rel *eval.Relation, m *metrics) ([]wire.AnswerRow, int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	return pc.rowsLocked(rel, m)
+}
+
+func (pc *planConv) rowsLocked(rel *eval.Relation, m *metrics) ([]wire.AnswerRow, int) {
 	if pc.rel != rel {
+		pc.prevRel, pc.prevRows, pc.delta = pc.rel, pc.rows, nil
 		pc.rows = wire.AppendRelation(nil, rel)
+		pc.size = wire.RowsSize(pc.rows)
 		pc.rel = rel
 		m.convMisses.Inc()
 	} else {
 		m.convHits.Inc()
 	}
-	return pc.rows
+	return pc.rows, pc.size
+}
+
+// next returns rel's wire rows, their encoded size, and the delta to them
+// from the answer a client holds (from, with rows fromRows).  A client
+// holding the install right before rel — every pump that kept up — shares
+// the plan's one delta; any other diffs on its own, outside the lock.
+func (pc *planConv) next(from *eval.Relation, fromRows []wire.AnswerRow, rel *eval.Relation, m *metrics) ([]wire.AnswerRow, int, *answerDelta) {
+	pc.mu.Lock()
+	rows, size := pc.rowsLocked(rel, m)
+	if pc.prevRel == from {
+		if pc.delta == nil {
+			pc.delta = newAnswerDelta(pc.prevRows, rows)
+		}
+		dl := pc.delta
+		pc.mu.Unlock()
+		return rows, size, dl
+	}
+	pc.mu.Unlock()
+	return rows, size, newAnswerDelta(fromRows, rows)
 }
 
 // acquireConv returns the refcounted conversion memo for a plan.
@@ -1003,9 +1066,11 @@ func (sub *serverSub) onAnswer(rel *eval.Relation) {
 }
 
 // pump streams mailbox contents to the session until the subscription or
-// session ends.
+// session ends.  Each notify is a delta against the answer the client
+// holds (sentSeq), or the full answer whenever that encodes no larger.
 func (s *session) pump(sub *serverSub) {
-	var sent uint64
+	m := s.srv.m
+	var seen uint64
 	for {
 		select {
 		case <-sub.stop:
@@ -1016,19 +1081,36 @@ func (s *session) pump(sub *serverSub) {
 			sub.mu.Lock()
 			rel, seq := sub.latest, sub.seq
 			sub.mu.Unlock()
-			if seq == sent || rel == nil {
+			if seq == seen || rel == nil {
 				continue
 			}
-			s.srv.m.notifies.Inc()
-			if seq > sent+1 {
-				s.srv.m.notifyCoalesced.Add(int64(seq - sent - 1))
+			if rel == sub.sentRel {
+				// An install that raced the registration and is already the
+				// SubscribeResp answer: the client holds it.
+				seen = seq
+				continue
 			}
-			rows := sub.conv.rowsFor(rel, s.srv.m)
+			m.notifies.Inc()
+			if seq > seen+1 {
+				m.notifyCoalesced.Add(int64(seq - seen - 1))
+			}
+			seen = seq
+			rows, size, dl := sub.conv.next(sub.sentRel, sub.sentRows, rel, m)
 			n := wire.Notify{SubID: sub.id, Seq: seq, Answer: rows}
-			if err := s.enqueue(s.enc(wire.OpNotify, 0, &n)); err != nil {
+			if dl.size < size {
+				n.Answer = dl.ins
+				n.Delta = &wire.Delta{BaseSeq: sub.sentSeq, Deletes: dl.d.Deletes, Inserts: dl.d.Inserts}
+				m.notifyDelta.Inc()
+			} else {
+				m.notifyFull.Inc()
+			}
+			f := s.enc(wire.OpNotify, 0, &n)
+			m.notifyRowsSent.Add(int64(len(n.Answer)))
+			m.notifyBytes.Add(int64(wire.HeaderSize + len(f.Payload)))
+			if err := s.enqueue(f); err != nil {
 				return
 			}
-			sent = seq
+			sub.sentRel, sub.sentRows, sub.sentSeq = rel, rows, seq
 		}
 	}
 }
@@ -1073,7 +1155,6 @@ func (s *session) handleSubscribe(f wire.Frame) wire.Frame {
 	s.subs[sub.id] = sub
 	s.mu.Unlock()
 	s.srv.m.subscriptions.Add(1)
-	go s.pump(sub)
 	// The initial answer is read after the listener is live, so any update
 	// racing the registration is covered either here or by a notify.
 	rel, err := cq.Answer()
@@ -1081,8 +1162,13 @@ func (s *session) handleSubscribe(f wire.Frame) wire.Frame {
 		s.removeSub(sub.id, "", false)
 		return s.errFrame(f.ID, err)
 	}
+	sub.sentRel = rel
+	sub.sentRows, _ = sub.conv.rowsFor(rel, s.srv.m)
+	// The first notify is a delta against this response's answer, so the
+	// pump starts only once handle has queued the response.
+	s.newSub = sub
 	return s.enc(wire.OpResult, f.ID, &wire.SubscribeResp{
-		SubID: sub.id, Now: st.db.Now(), Answer: wire.FromRelation(rel),
+		SubID: sub.id, Now: st.db.Now(), Answer: sub.sentRows,
 	})
 }
 

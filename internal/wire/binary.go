@@ -551,14 +551,60 @@ func (s *SubscribeResp) decodeBinary(r *binReader) error {
 func (n *Notify) appendBinary(b []byte) []byte {
 	b = appendU64(b, n.SubID)
 	b = appendU64(b, n.Seq)
-	return appendAnswerRows(b, n.Answer)
+	b = appendAnswerRows(b, n.Answer)
+	// The delta block is optional-trailing (like ErrorResp's redirects): a
+	// full notify omits it entirely, so its bytes are those of a notify
+	// from before deltas existed.
+	if d := n.Delta; d != nil {
+		b = appendU64(b, d.BaseSeq)
+		b = appendPositions(b, d.Deletes)
+		b = appendPositions(b, d.Inserts)
+	}
+	return b
 }
 
 func (n *Notify) decodeBinary(r *binReader) error {
 	n.SubID = r.u64()
 	n.Seq = r.u64()
 	n.Answer = decodeAnswerRows(r, n.Answer)
+	n.Delta = nil
+	if r.err == nil && r.remaining() > 0 {
+		d := &Delta{BaseSeq: r.u64()}
+		d.Deletes = decodePositions(r)
+		d.Inserts = decodePositions(r)
+		if r.err == nil && len(d.Inserts) != len(n.Answer) {
+			r.fail("delta carries %d insert positions for %d rows", len(d.Inserts), len(n.Answer))
+		}
+		n.Delta = d
+	}
 	return r.err
+}
+
+// appendPositions encodes a delta position list: a u32 count, then each
+// position as a u32.
+func appendPositions(b []byte, ps []uint32) []byte {
+	b = appendU32(b, uint32(len(ps)))
+	for _, p := range ps {
+		b = appendU32(b, p)
+	}
+	return b
+}
+
+// decodePositions decodes a position list and enforces that it is
+// strictly ascending (no duplicates).
+func decodePositions(r *binReader) []uint32 {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	ps := make([]uint32, n)
+	for i := range ps {
+		ps[i] = r.u32()
+		if r.err == nil && i > 0 && ps[i] <= ps[i-1] {
+			r.fail("delta positions not strictly ascending: %d after %d", ps[i], ps[i-1])
+		}
+	}
+	return ps
 }
 
 func (s *SubClosed) appendBinary(b []byte) []byte {

@@ -94,6 +94,8 @@ func payloadCorpus(x float64) []struct {
 		{OpResult, &SubscribeResp{SubID: 3, Now: 2, Answer: rows}},
 		{OpUnsubscribe, &UnsubscribeReq{SubID: 3}},
 		{OpNotify, &Notify{SubID: 3, Seq: 41, Answer: rows}},
+		{OpNotify, &Notify{SubID: 3, Seq: 42, Answer: rows[1:], Delta: &Delta{BaseSeq: 41, Deletes: []uint32{0, 1}, Inserts: []uint32{0}}}},
+		{OpNotify, &Notify{SubID: 3, Seq: 43, Delta: &Delta{BaseSeq: 42}}},
 		{OpSubClosed, &SubClosed{SubID: 3, Reason: "database replaced"}},
 		{OpError, &ErrorResp{Msg: "no such object"}},
 		{OpError, &ErrorResp{Msg: "shed by admission control", Code: CodeOverloaded}},

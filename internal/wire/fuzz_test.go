@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
+
+	"github.com/mostdb/most/internal/temporal"
 )
 
 // FuzzWireDecode feeds arbitrary byte streams to the frame decoder and the
@@ -28,6 +31,25 @@ func FuzzWireDecode(f *testing.F) {
 	update2, _ := AppendFrame(nil, uf2)
 	nf2, _ := EncodeFrame(ProtocolV2, OpNotify, 0, &Notify{SubID: 3, Seq: 9, Answer: []AnswerRow{{Vals: []Value{{Kind: 1, Obj: "car-1"}}, Start: 0, End: 7}}})
 	notify2, _ := AppendFrame(nil, nf2)
+	// Delta notifies: a valid one, then hostile position lists — out of
+	// range for any small base, non-ascending, duplicated, and more insert
+	// positions than inserted rows.
+	deltaNotify := func(d *Delta, rows int) []byte {
+		ans := make([]AnswerRow, rows)
+		for i := range ans {
+			ans[i] = AnswerRow{Vals: []Value{{Kind: 1, Obj: "car-2"}}, Start: temporal.Tick(i), End: 9}
+		}
+		f, _ := EncodeFrame(ProtocolV2, OpNotify, 0, &Notify{SubID: 3, Seq: 10, Answer: ans, Delta: d})
+		buf, _ := AppendFrame(nil, f)
+		return buf
+	}
+	deltas := [][]byte{
+		deltaNotify(&Delta{BaseSeq: 9, Deletes: []uint32{0}, Inserts: []uint32{0}}, 1),
+		deltaNotify(&Delta{BaseSeq: 9, Deletes: []uint32{1 << 30}, Inserts: []uint32{7}}, 1),
+		deltaNotify(&Delta{BaseSeq: 9, Deletes: []uint32{3, 1}}, 0),
+		deltaNotify(&Delta{BaseSeq: 9, Inserts: []uint32{0, 0}}, 2),
+		deltaNotify(&Delta{BaseSeq: 9, Inserts: []uint32{0, 1}}, 1),
+	}
 
 	zf2, _ := EncodeFrame(ProtocolV2, OpZoneMap, 5, &ZoneMapResp{Epoch: 1, Zones: []Zone{
 		{ID: 0, MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, Addr: "127.0.0.1:1"},
@@ -54,6 +76,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(query2)
 	f.Add(update2)
 	f.Add(notify2)
+	for _, d := range deltas {
+		f.Add(d)
+	}
 	f.Add(zonemap2)
 	f.Add(handoff2)
 	f.Add(forward2)
@@ -115,6 +140,7 @@ func FuzzWireDecode(f *testing.F) {
 				checkPayload(t, fr, &SubscribeReq{}, &SubscribeReq{})
 			case OpNotify:
 				checkPayload(t, fr, &Notify{}, &Notify{})
+				checkDelta(t, fr)
 			case OpSubClosed:
 				checkPayload(t, fr, &SubClosed{}, &SubClosed{})
 			case OpZoneMap:
@@ -155,5 +181,27 @@ func checkPayload(t *testing.T, fr Frame, a, b binaryPayload) {
 	b2 := b.appendBinary(nil)
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("%s payload not canonical after one decode/encode cycle:\n b1: %x\n b2: %x", fr.Op, b1, b2)
+	}
+}
+
+// checkDelta applies an accepted delta notify to a small fixed base: a
+// delta that does not fit must be refused with ErrBadDelta, never panic,
+// and one that fits must produce an answer of the size it declares.
+func checkDelta(t *testing.T, fr Frame) {
+	t.Helper()
+	var n Notify
+	if fr.Version != ProtocolV2 || Unmarshal(fr, &n) != nil || n.Delta == nil {
+		return
+	}
+	base := []AnswerRow{{Start: 1, End: 2}, {Start: 3, End: 4}, {Start: 5, End: 6}}
+	got, err := ApplyDelta(base, &n)
+	if err != nil {
+		if !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("misfit delta refused with %v, want ErrBadDelta", err)
+		}
+		return
+	}
+	if want := len(base) - len(n.Delta.Deletes) + len(n.Delta.Inserts); len(got) != want {
+		t.Fatalf("applied delta gave %d rows, want %d", len(got), want)
 	}
 }

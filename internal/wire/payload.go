@@ -180,14 +180,31 @@ type UnsubscribeReq struct {
 	SubID uint64
 }
 
-// Notify is the server push after a maintenance round: the full new
+// Notify is the server push after a maintenance round: the new
 // Answer(CQ).  Seq increases by one per maintenance round on the server;
 // gaps mean rounds were coalesced while the connection was backed up (the
 // latest answer always supersedes skipped ones).
+//
+// With Delta nil, Answer is the full new answer.  With Delta set, Answer
+// holds only the inserted rows and the new answer is ApplyDelta of the
+// answer the subscription holds at Delta.BaseSeq (PROTOCOL.md §3, §6).
 type Notify struct {
 	SubID  uint64
 	Seq    uint64
 	Answer []AnswerRow
+	Delta  *Delta
+}
+
+// Delta is the positional edit from a subscription's previous answer (the
+// one its server sequence number BaseSeq delivered — 0 is the
+// SubscribeResp answer) to the new one.  Deletes are strictly ascending
+// row positions in the base answer; Inserts are strictly ascending row
+// positions in the new answer, one per inserted row of Notify.Answer.
+// Every other new-answer row is the next surviving base row, in order.
+type Delta struct {
+	BaseSeq uint64
+	Deletes []uint32
+	Inserts []uint32
 }
 
 // SubClosed is the server push ending a subscription (database replaced,
